@@ -16,7 +16,16 @@ import json
 import sys
 from typing import Any, NoReturn, Sequence
 
-from .experiment import ExperimentConfig, TrialRecord, compare_tables, run_experiment
+import numpy as np
+
+from .experiment import (
+    ExperimentConfig,
+    FrequencyTable,
+    code_table,
+    compare_tables,
+    run_experiment,
+    shard_codes,
+)
 from .locality import local_membership
 from .qstate import (
     JOINT_OUTCOMES,
@@ -119,13 +128,26 @@ def parse_behavior_json(text: str) -> Behavior:
     return Behavior(table)
 
 
-def _write_trial_log(path: str, records: Sequence[TrialRecord]) -> None:
+def _write_trial_log(path: str, config: ExperimentConfig, behavior: Behavior,
+                     workers: int) -> FrequencyTable:
+    """Run the trials, writing the per-trial CSV log shard by shard; return the counts.
+
+    Each shard is written as one string: the trial index joined to one of 16
+    row suffixes, one per outcome code. Rows end in \\r\\n, as csv.writer's
+    default dialect writes them.
+    """
+    suffixes = [f",{s.left},{s.right},{c.left.value},{c.right.value}\r\n"
+                for s in behavior.settings for c in JOINT_OUTCOMES]
+    total = np.zeros(16, dtype=np.int64)
+    start = 0
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["trial", "setting_l", "setting_r", "outcome_l", "outcome_r"])
-        for rec in records:
-            writer.writerow([rec.index, rec.setting.left, rec.setting.right,
-                             rec.outcome.left.value, rec.outcome.right.value])
+        fh.write("trial,setting_l,setting_r,outcome_l,outcome_r\r\n")
+        for codes in shard_codes(config, behavior, workers=workers):
+            fh.write("".join([f"{i}{suffixes[c]}"
+                              for i, c in enumerate(codes.tolist(), start)]))
+            total += np.bincount(codes, minlength=16)
+            start += len(codes)
+    return code_table(behavior.settings, total)
 
 
 def _builtin_changes():
@@ -182,11 +204,10 @@ def cmd_tables(args: argparse.Namespace) -> int:
 def cmd_simulate(args: argparse.Namespace) -> int:
     behavior = hardy_behavior()
     config = ExperimentConfig(trials=args.trials, seed=args.seed, model=args.model)
-    freq, records = run_experiment(behavior=behavior, config=config,
-                                   workers=args.workers,
-                                   collect_trials=args.log is not None)
-    if args.log is not None:
-        _write_trial_log(args.log, records or [])
+    if args.log is None:
+        freq, _ = run_experiment(config, behavior, workers=args.workers)
+    else:
+        freq = _write_trial_log(args.log, config, behavior, args.workers)
     report = compare_tables(freq, behavior)
 
     if args.format == "json":
@@ -413,10 +434,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
+    except (OSError, ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -12,9 +12,10 @@ canonical setting order, in realist mode).
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
+from collections import deque
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Mapping, NamedTuple
+from typing import Callable, Iterator, Mapping, NamedTuple
 
 import numpy as np
 
@@ -152,18 +153,17 @@ def _row_boundaries(behavior: Behavior) -> np.ndarray:
     return np.asarray(rows)
 
 
-def _run_shard(shard_index: int, start: int, size: int,
-               seed_seq: np.random.SeedSequence, config: ExperimentConfig,
-               settings: tuple[SettingPair, ...], boundaries: np.ndarray,
-               collect: bool) -> tuple[np.ndarray, list[TrialRecord]]:
+def _run_shard(seed_seq: np.random.SeedSequence, size: int,
+               config: ExperimentConfig, boundaries: np.ndarray) -> np.ndarray:
+    """One shard's trials as outcome codes, setting index * 4 + outcome index."""
     rng = np.random.Generator(np.random.PCG64(seed_seq))
-    left_idx = (rng.random(size) >= config.setting_law[0]).astype(np.int64)
-    right_idx = (rng.random(size) >= config.setting_law[1]).astype(np.int64)
+    left_idx = (rng.random(size) >= config.setting_law[0]).astype(np.uint8)
+    right_idx = (rng.random(size) >= config.setting_law[1]).astype(np.uint8)
     setting_idx = 2 * left_idx + right_idx
 
     if config.model == "quantum":
         u = rng.random(size)
-        outcome_idx = np.empty(size, dtype=np.int64)
+        outcome_idx = np.empty(size, dtype=np.uint8)
         for k in range(4):
             mask = setting_idx == k
             outcome_idx[mask] = np.searchsorted(boundaries[k], u[mask], side="right")
@@ -175,16 +175,58 @@ def _run_shard(shard_index: int, start: int, size: int,
         ])
         outcome_idx = per_setting[np.arange(size), setting_idx]
 
-    counts = np.bincount(setting_idx * 4 + outcome_idx, minlength=16)
-    records: list[TrialRecord] = []
-    if collect:
-        for i in range(size):
-            records.append(TrialRecord(
-                start + i,
-                settings[setting_idx[i]],
-                JOINT_OUTCOMES[outcome_idx[i]],
-            ))
-    return counts, records
+    return (setting_idx * 4 + outcome_idx).astype(np.uint8, copy=False)
+
+
+def shard_codes(config: ExperimentConfig, behavior: Behavior, *,
+                workers: int = 1) -> Iterator[np.ndarray]:
+    """Each shard's outcome codes, in shard order.
+
+    Code k means setting behavior.settings[k // 4] and outcome
+    JOINT_OUTCOMES[k % 4]. With several workers at most 2 * workers shards
+    are in flight, so memory is bounded by shard size and workers, never by
+    the trial count.
+    """
+    if len(behavior.left_labels) != 2 or len(behavior.right_labels) != 2 \
+            or not behavior.is_full_grid():
+        raise ValueError("experiment needs a behavior over a full 2x2 setting grid")
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers!r}")
+
+    boundaries = _row_boundaries(behavior)
+    n_shards = math.ceil(config.trials / config.shard_size)
+    seeds = np.random.SeedSequence(config.seed).spawn(n_shards)
+
+    def shard(k: int) -> np.ndarray:
+        size = min(config.shard_size, config.trials - k * config.shard_size)
+        return _run_shard(seeds[k], size, config, boundaries)
+
+    if workers == 1:
+        return map(shard, range(n_shards))
+    return _bounded_map(shard, n_shards, workers)
+
+
+def _bounded_map(fn: Callable[[int], np.ndarray], n: int,
+                 workers: int) -> Iterator[np.ndarray]:
+    """fn(0), ..., fn(n - 1) in order, with at most 2 * workers calls ahead."""
+    pool = ThreadPoolExecutor(max_workers=workers)
+    try:
+        pending: deque[Future[np.ndarray]] = deque()
+        for k in range(n):
+            pending.append(pool.submit(fn, k))
+            if len(pending) == 2 * workers:
+                yield pending.popleft().result()
+        while pending:
+            yield pending.popleft().result()
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
+def code_table(settings: tuple[SettingPair, ...], counts: np.ndarray) -> FrequencyTable:
+    """The frequency table of 16 per-code counts."""
+    return FrequencyTable({settings[k]: {c: int(counts[4 * k + c.index])
+                                         for c in JOINT_OUTCOMES}
+                           for k in range(4)})
 
 
 def run_experiment(config: ExperimentConfig, behavior: Behavior, *,
@@ -197,38 +239,18 @@ def run_experiment(config: ExperimentConfig, behavior: Behavior, *,
     assignment and reveals the chosen setting (realist). Returns the counts
     and, when collect_trials is set, the per-trial log.
     """
-    if len(behavior.left_labels) != 2 or len(behavior.right_labels) != 2 \
-            or not behavior.is_full_grid():
-        raise ValueError("experiment needs a behavior over a full 2x2 setting grid")
-    if workers < 1:
-        raise ValueError(f"workers must be at least 1, got {workers!r}")
-
+    shards = shard_codes(config, behavior, workers=workers)  # validates the grid
     settings = behavior.settings
-    boundaries = _row_boundaries(behavior)
-    n_shards = math.ceil(config.trials / config.shard_size)
-    seeds = np.random.SeedSequence(config.seed).spawn(n_shards)
-    jobs = []
-    for k in range(n_shards):
-        start = k * config.shard_size
-        size = min(config.shard_size, config.trials - start)
-        jobs.append((k, start, size, seeds[k], config, settings, boundaries,
-                     collect_trials))
-
-    if workers == 1:
-        results = [_run_shard(*job) for job in jobs]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(lambda job: _run_shard(*job), jobs))
-
+    cells = [(settings[k // 4], JOINT_OUTCOMES[k % 4]) for k in range(16)]
     total = np.zeros(16, dtype=np.int64)
     records: list[TrialRecord] = []
-    for counts, recs in results:  # shard order, so worker count is invisible
-        total += counts
-        records.extend(recs)
-
-    table = {settings[k]: {c: int(total[4 * k + c.index]) for c in JOINT_OUTCOMES}
-             for k in range(4)}
-    return FrequencyTable(table), (records if collect_trials else None)
+    for codes in shards:
+        total += np.bincount(codes, minlength=16)
+        if collect_trials:
+            start = len(records)
+            records.extend(TrialRecord(start + i, *cells[code])
+                           for i, code in enumerate(codes.tolist()))
+    return code_table(settings, total), (records if collect_trials else None)
 
 
 # ===========================================================================

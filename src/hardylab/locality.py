@@ -167,34 +167,15 @@ def _behavior_vector(behavior: Behavior) -> np.ndarray:
                      for s in behavior.settings for c in JOINT_OUTCOMES])
 
 
-def _hardy_fallback(behavior: Behavior, b: np.ndarray,
-                    vertices: np.ndarray,
-                    cells: list[tuple[SettingPair, JointOutcome]],
-                    ) -> WitnessCertificate | None:
-    if set(behavior.settings) != set(HARDY_SETTINGS):
-        return None
-    coeff = {
-        (SettingPair("2", "2"), JointOutcome.GG): 1.0,
-        (SettingPair("1", "2"), JointOutcome.GG): -1.0,
-        (SettingPair("2", "1"), JointOutcome.GG): -1.0,
-        (SettingPair("1", "1"), JointOutcome.RR): -1.0,
-    }
-    f = np.array([coeff.get(cell, 0.0) for cell in cells])
-    value = float(f @ b)
-    det_max = float(np.max(vertices.T @ f))
-    if value - det_max < WITNESS_TOL:
-        return None
-    return WitnessCertificate({k: v for k, v in coeff.items()}, value, det_max)
-
-
 def local_membership(behavior: Behavior) -> MembershipResult:
     """Decide whether a behavior mixes from deterministic strategies.
 
     First LP: minimize the largest cell mismatch over weight vectors on the
     16 strategies. A residual within FEAS_TOL means membership, and the
     weights are returned. Otherwise a second LP finds the maximum-margin
-    separating functional with coefficients in [-1, 1]; the fixed detector
-    witness is kept as a fallback certificate should the solver fail.
+    separating functional with coefficients in [-1, 1]. Raises RuntimeError
+    when either LP fails to solve, or when the separating functional misses
+    the WITNESS_TOL margin.
     """
     cells = _grid_cells(behavior)
     b = _behavior_vector(behavior)
@@ -223,7 +204,6 @@ def local_membership(behavior: Behavior) -> MembershipResult:
     a_ub2 = np.hstack([vertices.T, -np.ones((16, 1))])
     sep = linprog(c2, A_ub=a_ub2, b_ub=np.zeros(16),
                   bounds=[(-1, 1)] * 16 + [(None, None)], method="highs")
-    witness = None
     if sep.success:
         f = sep.x[:16]
         value = float(f @ b)
@@ -233,13 +213,10 @@ def local_membership(behavior: Behavior) -> MembershipResult:
                 {cell: float(coef) for cell, coef in zip(cells, f)
                  if abs(coef) > 1e-12},
                 value, det_max)
-    if witness is None:
-        witness = _hardy_fallback(behavior, b, vertices, cells)
-    if witness is None:
-        raise RuntimeError(
-            f"behavior sits {residual:.3e} outside the local polytope but no "
-            f"certificate reached the {WITNESS_TOL} margin")
-    return MembershipResult("infeasible", residual, witness=witness)
+            return MembershipResult("infeasible", residual, witness=witness)
+    raise RuntimeError(
+        f"behavior sits {residual:.3e} outside the local polytope but no "
+        f"certificate reached the {WITNESS_TOL} margin")
 
 
 # ===========================================================================

@@ -290,6 +290,19 @@ class TestCheckLocal:
         assert code == 1
         assert "error:" in err
 
+    def test_solver_failure_exits_one(self, capsys, tmp_path, monkeypatch):
+        import hardylab.cli as cli
+
+        def no_certificate(behavior):
+            raise RuntimeError("no certificate reached the margin")
+
+        monkeypatch.setattr(cli, "local_membership", no_certificate)
+        code, out, err = run_cli(capsys, "check-local", "--behavior",
+                                 self.write(tmp_path, UNIFORM_ROWS))
+        assert code == 1
+        assert out == ""
+        assert err == "error: no certificate reached the margin\n"
+
 
 # ===========================================================================
 # mixture-compare

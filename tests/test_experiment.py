@@ -1,15 +1,19 @@
 """Trial running: sharded determinism, counts, and the comparison verdict."""
 from __future__ import annotations
 
+import time
+
 import numpy as np
 import pytest
 
+from hardylab import experiment
 from hardylab.experiment import (
     CHI2_LIMIT_1E6,
     ExperimentConfig,
     FrequencyTable,
     compare_tables,
     run_experiment,
+    shard_codes,
 )
 from hardylab.qstate import (
     JOINT_OUTCOMES,
@@ -142,6 +146,29 @@ class TestRunExperiment:
         for r in records:
             tally[r.setting][r.outcome] += 1
         assert {s: t for s, t in tally.items()} == dict(freq.counts)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_shards_run_at_most_two_per_worker_ahead(self, monkeypatch, workers):
+        """A slow consumer never has more than 2 * workers shards sampled ahead."""
+        produced = []
+        real = experiment._run_shard
+
+        def counting(*args):
+            produced.append(True)  # list.append is atomic across threads
+            return real(*args)
+
+        monkeypatch.setattr(experiment, "_run_shard", counting)
+        config = ExperimentConfig(trials=64 * 40, seed=5, shard_size=64)
+        ahead = []
+        for consumed, codes in enumerate(
+                shard_codes(config, hardy_behavior(), workers=workers), start=1):
+            assert len(codes) == 64
+            time.sleep(0.005)  # let the workers run as far ahead as they may
+            ahead.append(len(produced) - consumed)
+        assert len(ahead) == 40
+        assert 0 <= min(ahead) and max(ahead) <= 2 * workers
+        if workers == 1:
+            assert max(ahead) == 0
 
     def test_log_omitted_unless_requested(self):
         _, records = run_experiment(ExperimentConfig(trials=100, seed=1),
