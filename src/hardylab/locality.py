@@ -21,7 +21,6 @@ from .qstate import (
     Outcome,
     SettingPair,
 )
-from .realist import ContextAssignment, is_noncontextual
 
 FEAS_TOL = 1e-9     # max reconstruction mismatch still counted as membership
 WITNESS_TOL = 1e-9  # minimum violation margin for an infeasibility certificate
@@ -65,17 +64,34 @@ def deterministic_strategies() -> tuple[DeterministicStrategy, ...]:
     )
 
 
+def _strategy_matrix() -> np.ndarray:
+    """Column s holds strategy s's behavior, flattened in canonical cell order.
+
+    Row 4 * (2 * i + j) + k is cell k of setting (i, j), i and j picking the
+    first (0) or second (1) label; a full grid's settings sort that way.
+    """
+    v = np.zeros((16, 16))
+    for s, strat in enumerate(deterministic_strategies()):
+        for i in range(2):
+            for j in range(2):
+                v[4 * (2 * i + j) + strat.joint(i, j).index, s] = 1.0
+    return v
+
+
+_VERTICES = _strategy_matrix()
+# Per strategy, the four cells it picks, one per setting in canonical order.
+_STRATEGY_CELLS = np.nonzero(_VERTICES.T)[1].reshape(16, 4).tolist()
+_TIGHT_FIT = {"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10}
+
+
 def strategy_behavior(strategy: DeterministicStrategy,
                       left_labels: tuple[str, str] = ("1", "2"),
                       right_labels: tuple[str, str] = ("1", "2")) -> Behavior:
     """The 0/1 behavior a strategy produces over a 2x2 setting grid."""
-    table = {}
-    for i, lab_l in enumerate(left_labels):
-        for j, lab_r in enumerate(right_labels):
-            hit = strategy.joint(i, j)
-            table[SettingPair(lab_l, lab_r)] = {
-                c: (1.0 if c is hit else 0.0) for c in JOINT_OUTCOMES}
-    return Behavior(table)
+    column = _VERTICES[:, strategy.index]
+    return Behavior({
+        SettingPair(lab_l, lab_r): dict(zip(JOINT_OUTCOMES, column[4 * k:4 * k + 4]))
+        for k, (lab_l, lab_r) in enumerate(product(left_labels, right_labels))})
 
 
 # ===========================================================================
@@ -146,25 +162,27 @@ def _grid_cells(behavior: Behavior) -> list[tuple[SettingPair, JointOutcome]]:
     return [(s, c) for s in behavior.settings for c in JOINT_OUTCOMES]
 
 
-def _vertex_matrix(behavior: Behavior) -> np.ndarray:
-    """Column s holds strategy s's behavior, flattened in canonical cell order."""
-    left_labels = behavior.left_labels
-    right_labels = behavior.right_labels
-    v = np.zeros((16, 16))
-    for s, strat in enumerate(deterministic_strategies()):
-        for i in range(2):
-            for j in range(2):
-                hit = strat.joint(i, j)
-                v[4 * (2 * i + j) + hit.index, s] = 1.0
-    # canonical setting order is sorted labels, matching (i, j) enumeration
-    assert tuple(SettingPair(l, r) for l in left_labels for r in right_labels) \
-        == behavior.settings
-    return v
-
-
 def _behavior_vector(behavior: Behavior) -> np.ndarray:
     return np.array([behavior.table[s][c]
                      for s in behavior.settings for c in JOINT_OUTCOMES])
+
+
+def _fit_weights(b: np.ndarray, options: dict | None = None) -> tuple[np.ndarray, float]:
+    """Mixing weights minimizing the largest cell mismatch, and that mismatch."""
+    # min eps  s.t.  |V w - b| <= eps per cell,  w >= 0,  sum w = 1
+    c = np.zeros(17)
+    c[16] = 1.0
+    neg = -np.ones((16, 1))
+    a_ub = np.block([[_VERTICES, neg], [-_VERTICES, neg]])
+    b_ub = np.concatenate([b, -b])
+    a_eq = np.concatenate([np.ones(16), [0.0]]).reshape(1, -1)
+    fit = linprog(c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=[1.0],
+                  bounds=[(0, None)] * 17, method="highs", options=options)
+    if not fit.success:
+        raise RuntimeError(f"membership LP did not solve: {fit.message}")
+    weights = np.clip(fit.x[:16], 0.0, None)
+    weights /= weights.sum()
+    return weights, float(np.max(np.abs(_VERTICES @ weights - b)))
 
 
 def local_membership(behavior: Behavior) -> MembershipResult:
@@ -173,50 +191,37 @@ def local_membership(behavior: Behavior) -> MembershipResult:
     First LP: minimize the largest cell mismatch over weight vectors on the
     16 strategies. A residual within FEAS_TOL means membership, and the
     weights are returned. Otherwise a second LP finds the maximum-margin
-    separating functional with coefficients in [-1, 1]. Raises RuntimeError
-    when either LP fails to solve, or when the separating functional misses
-    the WITNESS_TOL margin.
+    separating functional with coefficients in [-1, 1]. When that misses
+    the WITNESS_TOL margin, the first LP is solved again with tighter solver
+    tolerances: HiGHS can stop a local behavior's fit just above FEAS_TOL.
+    Raises RuntimeError when an LP fails to solve, or when the refit still
+    misses FEAS_TOL.
     """
     cells = _grid_cells(behavior)
     b = _behavior_vector(behavior)
-    vertices = _vertex_matrix(behavior)
-
-    # min eps  s.t.  |V w - b| <= eps per cell,  w >= 0,  sum w = 1
-    c = np.zeros(17)
-    c[16] = 1.0
-    neg = -np.ones((16, 1))
-    a_ub = np.block([[vertices, neg], [-vertices, neg]])
-    b_ub = np.concatenate([b, -b])
-    a_eq = np.concatenate([np.ones(16), [0.0]]).reshape(1, -1)
-    fit = linprog(c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=[1.0],
-                  bounds=[(0, None)] * 17, method="highs")
-    if not fit.success:
-        raise RuntimeError(f"membership LP did not solve: {fit.message}")
-    weights = np.clip(fit.x[:16], 0.0, None)
-    weights /= weights.sum()
-    residual = float(np.max(np.abs(vertices @ weights - b)))
-
-    if residual <= FEAS_TOL:
-        return MembershipResult("feasible", residual, weights=tuple(weights))
-
-    # max  f.b - t  s.t.  f.V_s <= t per strategy,  -1 <= f <= 1
-    c2 = np.concatenate([-b, [1.0]])
-    a_ub2 = np.hstack([vertices.T, -np.ones((16, 1))])
-    sep = linprog(c2, A_ub=a_ub2, b_ub=np.zeros(16),
-                  bounds=[(-1, 1)] * 16 + [(None, None)], method="highs")
-    if sep.success:
-        f = sep.x[:16]
-        value = float(f @ b)
-        det_max = float(np.max(vertices.T @ f))
-        if value - det_max >= WITNESS_TOL:
-            witness = WitnessCertificate(
-                {cell: float(coef) for cell, coef in zip(cells, f)
-                 if abs(coef) > 1e-12},
-                value, det_max)
-            return MembershipResult("infeasible", residual, witness=witness)
-    raise RuntimeError(
-        f"behavior sits {residual:.3e} outside the local polytope but no "
-        f"certificate reached the {WITNESS_TOL} margin")
+    weights, residual = _fit_weights(b)
+    if residual > FEAS_TOL:
+        # max  f.b - t  s.t.  f.V_s <= t per strategy,  -1 <= f <= 1
+        c2 = np.concatenate([-b, [1.0]])
+        a_ub2 = np.hstack([_VERTICES.T, -np.ones((16, 1))])
+        sep = linprog(c2, A_ub=a_ub2, b_ub=np.zeros(16),
+                      bounds=[(-1, 1)] * 16 + [(None, None)], method="highs")
+        if sep.success:
+            f = sep.x[:16]
+            value = float(f @ b)
+            det_max = float(np.max(_VERTICES.T @ f))
+            if value - det_max >= WITNESS_TOL:
+                witness = WitnessCertificate(
+                    {cell: float(coef) for cell, coef in zip(cells, f)
+                     if abs(coef) > 1e-12},
+                    value, det_max)
+                return MembershipResult("infeasible", residual, witness=witness)
+        weights, residual = _fit_weights(b, _TIGHT_FIT)
+        if residual > FEAS_TOL:
+            raise RuntimeError(
+                f"behavior sits {residual:.3e} outside the local polytope but no "
+                f"certificate reached the {WITNESS_TOL} margin")
+    return MembershipResult("feasible", residual, weights=tuple(weights))
 
 
 # ===========================================================================
@@ -226,20 +231,11 @@ def local_membership(behavior: Behavior) -> MembershipResult:
 def noncontextual_fraction(behavior: Behavior) -> float:
     """Probability that independent per-setting sampling lands factorizable.
 
-    Sums the product probabilities of all 256 complete assignments for which
-    is_noncontextual holds; equals the chance that one run of the
-    measurement-as-reveal model admits per-side response functions.
+    The assignments that admit per-side response functions are exactly the
+    16 strategies, so this sums the product of the four cells each picks;
+    it is the chance that one measurement-as-reveal run is factorizable.
     """
-    cells = _grid_cells(behavior)  # validates the grid
-    del cells
-    settings = behavior.settings
-    rows = [behavior.table[s] for s in settings]
-    total = 0.0
-    for combo in product(JOINT_OUTCOMES, repeat=4):
-        assignment = ContextAssignment(dict(zip(settings, combo)))
-        if is_noncontextual(assignment):
-            p = 1.0
-            for row, cell in zip(rows, combo):
-                p *= row[cell]
-            total += p
-    return total
+    _grid_cells(behavior)  # validates the grid
+    # plain floats: on 16 numbers numpy's per-call cost outweighs the work
+    b = [row[c] for row in behavior.table.values() for c in JOINT_OUTCOMES]
+    return sum(b[i] * b[j] * b[k] * b[m] for i, j, k, m in _STRATEGY_CELLS)

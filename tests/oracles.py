@@ -2,7 +2,9 @@
 
 Everything here is derived with sympy radicals and rationals, independently of
 the package under test: no hardylab imports, no floating point until the final
-printout. Run as a script to regenerate the frozen values quoted in the tests.
+printout. The Fine's-theorem locality decision also takes float tables, for
+property tests that compare it with the LP. Run as a script to regenerate the
+frozen values quoted in the tests.
 """
 from __future__ import annotations
 
@@ -145,6 +147,44 @@ def noncontextual_fraction(behavior: dict[str, dict[str, sp.Expr]]) -> sp.Expr:
     return sp.nsimplify(sp.expand(total))
 
 
+def signaling_residual(behavior: dict[str, dict]) -> sp.Expr:
+    """Largest shift of a one-side marginal when the far setting changes."""
+    def left(s: str, o: str):
+        return sum(behavior[s][o + r] for r in OUTCOMES)
+
+    def right(s: str, o: str):
+        return sum(behavior[s][l + o] for l in OUTCOMES)
+
+    return max([abs(left(x + "1", o) - left(x + "2", o)) for x in "12" for o in OUTCOMES]
+               + [abs(right("1" + y, o) - right("2" + y, o)) for y in "12" for o in OUTCOMES])
+
+
+def chsh_values(behavior: dict[str, dict]) -> list:
+    """The eight CHSH expressions: +-(E11 + E12 + E21 + E22 - 2 E_xy) per setting xy."""
+    e = {s: behavior[s]["RR"] - behavior[s]["RG"] - behavior[s]["GR"] + behavior[s]["GG"]
+         for s in SETTINGS}
+    total = sum(e.values())
+    return [sign * (total - 2 * e[s]) for s in SETTINGS for sign in (1, -1)]
+
+
+def fine_local(behavior: dict[str, dict], margin: float) -> bool | None:
+    """Locality by Fine's theorem (A. Fine, PRL 48, 291, 1982), with no LP.
+
+    A no-signaling 2-setting, 2-outcome behavior is local exactly when all
+    eight CHSH expressions are at most 2; a signaling one is never local.
+    Returns None when the behavior is within margin of a CHSH facet, or
+    signals by less than margin but more than float rounding, where a
+    tolerance-based decision may go either way.
+    """
+    signaling = signaling_residual(behavior)
+    if signaling > margin:
+        return False
+    top = max(chsh_values(behavior))
+    if signaling > 1e-12 or abs(top - 2) <= margin:
+        return None
+    return bool(top < 2)
+
+
 def uniform_behavior() -> dict[str, dict[str, sp.Expr]]:
     q = sp.Rational(1, 4)
     return {s: {c: q for c in JOINT} for s in SETTINGS}
@@ -197,6 +237,8 @@ def main() -> None:
     ncf = noncontextual_fraction(beh)
     print("  Hardy noncontextual fraction:", ncf, "=", float(ncf))
     print("  uniform noncontextual fraction:", noncontextual_fraction(uniform_behavior()))
+    print("  Hardy max CHSH:", sp.nsimplify(max(chsh_values(beh))),
+          "Fine local:", fine_local(beh, 0))
 
 
 if __name__ == "__main__":

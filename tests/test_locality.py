@@ -1,15 +1,20 @@
 """Local-polytope membership, witness values, and noncontextual mass."""
 from __future__ import annotations
 
+import json
 from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
+from hardylab.cli import main
 from hardylab.locality import (
     FEAS_TOL,
     HARDY_SETTINGS,
+    WITNESS_TOL,
     DeterministicStrategy,
     deterministic_strategies,
     hardy_witness,
@@ -30,6 +35,16 @@ from hardylab.realist import ContextAssignment, is_noncontextual, sample_context
 
 EXACT_FRACTION = 6233 / 51200  # closed form of the Hardy noncontextual mass
 
+# The second Dirichlet(0.05) draw of random.Random(1), mixed over the 16
+# strategies in canonical cell order: a local behavior whose first fit HiGHS
+# stops about 7e-9 outside FEAS_TOL, where no certificate can exist.
+NEAR_VERTEX_ROWS = [
+    0.0035009537794949853, 0.7718467741873203, 0.2225637170465029, 0.002088554986681953,
+    0.7137504452768577, 0.06159728268995752, 0.027983688419287524, 0.1966685836138973,
+    0.19666857662536694, 0.06955243136909005, 0.02939609420063093, 0.7043828978049121,
+    0.06921019240426657, 0.1970108155901904, 0.6725239412918786, 0.06125505071366442,
+]
+
 
 def uniform_behavior() -> Behavior:
     return Behavior({s: {c: 0.25 for c in JOINT_OUTCOMES} for s in HARDY_SETTINGS})
@@ -42,6 +57,14 @@ def mix_behaviors(pairs: list[tuple[float, Behavior]]) -> Behavior:
         for s in settings
     }
     return Behavior(table)
+
+
+def behavior_from_rows(rows: list[float],
+                       left_labels: tuple[str, str] = ("1", "2"),
+                       right_labels: tuple[str, str] = ("1", "2")) -> Behavior:
+    grid = product(left_labels, right_labels)
+    return Behavior({SettingPair(l, r): dict(zip(JOINT_OUTCOMES, rows[4 * k:4 * k + 4]))
+                     for k, (l, r) in enumerate(grid)})
 
 
 def mixture_of_strategies(weights: np.ndarray) -> Behavior:
@@ -180,6 +203,24 @@ class TestLocalMembership:
                             SettingPair("1", "2"): {c: 0.25 for c in JOINT_OUTCOMES}})
         with pytest.raises(ValueError, match="2x2"):
             local_membership(partial)
+        with pytest.raises(ValueError, match="2x2"):
+            noncontextual_fraction(partial)
+
+    def test_near_vertex_mixture_refits_to_feasible(self):
+        behavior = behavior_from_rows(NEAR_VERTEX_ROWS)
+        result = local_membership(behavior)
+        assert result.verdict == "feasible"
+        assert result.residual <= FEAS_TOL
+        assert_weights_rebuild(result.weights, oracle_table(behavior))
+
+    def test_near_vertex_mixture_check_local_exits_zero(self, capsys, tmp_path):
+        path = tmp_path / "near_vertex.json"
+        path.write_text(json.dumps(oracle_table(behavior_from_rows(NEAR_VERTEX_ROWS))))
+        code = main(["check-local", "--behavior", str(path)])
+        captured = capsys.readouterr()
+        assert code == 0
+        assert captured.out.startswith("verdict: feasible\n")
+        assert captured.err == ""
 
     def test_result_serializes(self):
         feasible = local_membership(uniform_behavior()).to_jsonable()
@@ -238,6 +279,24 @@ class TestNoncontextualFraction:
         # spot check one forbidden cell stayed empty under the reveal model
         assert freq.count(SettingPair("1", "1"), JointOutcome.RR) == 0
 
+    def test_matches_assignment_enumeration(self):
+        """All 256 assignments, kept where realist.is_noncontextual holds."""
+        rng = np.random.default_rng(31)
+        label_pairs = [("1", "2"), ("x", "z"), ("a", "b")]
+        for k in range(50):
+            left = label_pairs[k % 3]
+            right = label_pairs[(k // 3) % 3]
+            alpha = 0.2 if k % 2 else 1.0
+            rows = [p for _ in range(4) for p in rng.dirichlet(alpha * np.ones(4))]
+            behavior = behavior_from_rows(rows, left, right)
+            reference = 0.0
+            for combo in product(JOINT_OUTCOMES, repeat=4):
+                assignment = ContextAssignment(dict(zip(behavior.settings, combo)))
+                if is_noncontextual(assignment):
+                    reference += np.prod([behavior.table[s][c]
+                                          for s, c in zip(behavior.settings, combo)])
+            assert noncontextual_fraction(behavior) == pytest.approx(reference, abs=1e-12)
+
 
 class TestAssignmentClassification:
     def test_revealed_quadruple_without_per_side_functions(self):
@@ -248,3 +307,135 @@ class TestAssignmentClassification:
             SettingPair("2", "2"): JointOutcome.RR,
         })
         assert not is_noncontextual(assignment)
+
+
+# ===========================================================================
+# agreement with Fine's theorem, checked without the LP
+# ===========================================================================
+
+CHSH_MARGIN = 1e-6  # verdicts this close to a Fine facet are not compared
+CELL_NAMES = [c.value for c in JOINT_OUTCOMES]
+PR_BOXES = [  # the eight no-signaling extremes that reach 4 on one CHSH expression
+    {s: ({"RR": 0.5, "RG": 0.0, "GR": 0.0, "GG": 0.5} if (s != odd) == (sign > 0)
+         else {"RR": 0.0, "RG": 0.5, "GR": 0.5, "GG": 0.0})
+     for s in oracles.SETTINGS}
+    for odd in oracles.SETTINGS for sign in (1, -1)]
+HARDY_TABLE = {s: {c: float(p) for c, p in row.items()}
+               for s, row in oracles.hardy_behavior().items()}
+
+
+def oracle_table(behavior: Behavior) -> dict[str, dict[str, float]]:
+    return {s.key: {c.value: p for c, p in row.items()} for s, row in behavior.table.items()}
+
+
+def vertex_table(assignment: dict[str, str]) -> dict[str, dict[str, float]]:
+    return {s: {c: float(c == assignment[s]) for c in CELL_NAMES} for s in oracles.SETTINGS}
+
+
+def mix_tables(pairs: list[tuple[float, dict]]) -> dict[str, dict[str, float]]:
+    return {s: {c: sum(w * t[s][c] for w, t in pairs) for c in CELL_NAMES}
+            for s in oracles.SETTINGS}
+
+
+def assert_weights_rebuild(weights, table: dict[str, dict[str, float]]) -> None:
+    assert len(weights) == 16 and min(weights) >= 0.0
+    assert sum(weights) == pytest.approx(1.0, abs=1e-12)
+    rebuilt = mix_tables([(w, vertex_table(a)) for w, a in zip(weights, oracles.strategies())])
+    mismatch = max(abs(rebuilt[s][c] - table[s][c]) for s in table for c in CELL_NAMES)
+    assert mismatch <= FEAS_TOL
+
+
+def check_against_fine(table: dict[str, dict[str, float]]) -> None:
+    """Decide by LP, then recheck the verdict and its evidence without it."""
+    result = local_membership(Behavior({SettingPair(s[0], s[1]): {
+        JointOutcome(c): p for c, p in row.items()} for s, row in table.items()}))
+    expected = oracles.fine_local(table, CHSH_MARGIN)
+    if expected is not None:
+        assert (result.verdict == "feasible") == expected
+    if result.verdict == "feasible":
+        assert_weights_rebuild(result.weights, table)
+        return
+    coefficients = {(s.key, c.value): coef
+                    for (s, c), coef in result.witness.coefficients.items()}
+
+    def score(t: dict[str, dict[str, float]]) -> float:
+        return sum(coef * t[s][c] for (s, c), coef in coefficients.items())
+
+    value = score(table)
+    assert value == pytest.approx(result.witness.value, abs=1e-9)
+    assert value - max(score(vertex_table(a)) for a in oracles.strategies()) >= WITNESS_TOL
+
+
+def normalized(counts: list[int]) -> list[float]:
+    total = sum(counts)
+    return [k / total for k in counts]
+
+
+def weights(n: int):
+    return st.lists(st.integers(0, 1000), min_size=n, max_size=n).filter(any).map(normalized)
+
+
+def local_tables():
+    return weights(16).map(lambda w: mix_tables(
+        [(wk, vertex_table(a)) for wk, a in zip(w, oracles.strategies())]))
+
+
+@st.composite
+def near_boundary_tables(draw):
+    """A local mixture mixed with a nonlocal extreme at a weight within 0.05
+    of where the extreme's top CHSH expression crosses 2, on either side."""
+    local = draw(local_tables())
+    extreme = draw(st.sampled_from(PR_BOXES + [HARDY_TABLE]))
+    top = max(range(8), key=oracles.chsh_values(extreme).__getitem__)
+    c_local, c_extreme = oracles.chsh_values(local)[top], oracles.chsh_values(extreme)[top]
+    v = (2.0 - c_local) / (c_extreme - c_local) + draw(st.integers(-50, 50)) / 1000
+    v = min(max(v, 0.0), 1.0)
+    return mix_tables([(v, extreme), (1.0 - v, local)])
+
+
+@st.composite
+def sure_row_tables(draw):
+    """Rows with p = 1: either strategy mixtures that agree on one setting's
+    cell (local), or independent rows of which some are one-hot."""
+    if draw(st.booleans()):
+        setting = draw(st.sampled_from(oracles.SETTINGS))
+        cell = draw(st.sampled_from(CELL_NAMES))
+        agreeing = [a for a in oracles.strategies() if a[setting] == cell]
+        w = draw(weights(len(agreeing)))
+        return mix_tables([(wk, vertex_table(a)) for wk, a in zip(w, agreeing)])
+    table = {}
+    for s in oracles.SETTINGS:
+        hot = draw(st.none() | st.sampled_from(CELL_NAMES))
+        row = [float(c == hot) for c in CELL_NAMES] if hot else draw(weights(4))
+        table[s] = dict(zip(CELL_NAMES, row))
+    return table
+
+
+def signaling_tables():
+    return st.lists(weights(4), min_size=4, max_size=4).map(
+        lambda rows: {s: dict(zip(CELL_NAMES, row)) for s, row in zip(oracles.SETTINGS, rows)})
+
+
+class TestAgreesWithFine:
+    def test_oracle_reads_the_pinned_cases(self):
+        assert oracles.fine_local(oracles.hardy_behavior(), 0) is False
+        assert max(oracles.chsh_values(oracles.hardy_behavior())) - 2 == oracles.sp.Rational(9, 25)
+        assert oracles.fine_local(oracles.uniform_behavior(), 0) is True
+        assert all(oracles.fine_local(box, CHSH_MARGIN) is False for box in PR_BOXES)
+        near_vertex = oracle_table(behavior_from_rows(NEAR_VERTEX_ROWS))
+        assert oracles.fine_local(near_vertex, CHSH_MARGIN) is True
+
+    @settings(derandomize=True, deadline=None)
+    @given(near_boundary_tables())
+    def test_near_the_polytope_boundary(self, table):
+        check_against_fine(table)
+
+    @settings(derandomize=True, deadline=None)
+    @given(sure_row_tables())
+    def test_rows_with_certain_outcomes(self, table):
+        check_against_fine(table)
+
+    @settings(derandomize=True, deadline=None)
+    @given(signaling_tables())
+    def test_independent_rows_mostly_signal(self, table):
+        check_against_fine(table)
