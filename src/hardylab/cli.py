@@ -128,23 +128,50 @@ def parse_behavior_json(text: str) -> Behavior:
     return Behavior(table)
 
 
+def _log_rows(start: int, codes: np.ndarray, table: np.ndarray) -> bytes:
+    """Log rows start, start + 1, ...: each trial index in ASCII digits, then table[code].
+
+    The rows are built in one uint8 array per run of indices with the same
+    number of digits, so a shard splits only where its index crosses a power
+    of ten.
+    """
+    parts = []
+    lo, stop = start, start + len(codes)
+    dtype = np.uint32 if stop <= 2 ** 32 else np.uint64  # 32-bit division is faster
+    while lo < stop:
+        digits = len(str(lo))
+        hi = min(stop, 10 ** digits)
+        rows = np.empty((hi - lo, digits + table.shape[1]), dtype=np.uint8)
+        rows[:, digits:] = np.take(table, codes[lo - start:hi - start], axis=0)
+        index = np.arange(lo, hi, dtype=dtype)
+        for col in range(digits - 1, -1, -1):
+            quot = index // 10
+            rows[:, col] = index - 10 * quot + ord("0")
+            index = quot
+        parts.append(rows.tobytes())
+        lo = hi
+    return b"".join(parts)
+
+
 def _write_trial_log(path: str, config: ExperimentConfig, behavior: Behavior,
                      workers: int) -> FrequencyTable:
     """Run the trials, writing the per-trial CSV log shard by shard; return the counts.
 
-    Each shard is written as one string: the trial index joined to one of 16
-    row suffixes, one per outcome code. Rows end in \\r\\n, as csv.writer's
-    default dialect writes them.
+    Each shard is written as one byte string: the trial index joined to one
+    of 16 equal-width row suffixes, one per outcome code. Rows end in \\r\\n,
+    as csv.writer's default dialect writes them.
     """
-    suffixes = [f",{s.left},{s.right},{c.left.value},{c.right.value}\r\n"
+    suffixes = [f",{s.left},{s.right},{c.left.value},{c.right.value}\r\n".encode()
                 for s in behavior.settings for c in JOINT_OUTCOMES]
+    if len({len(s) for s in suffixes}) != 1:
+        raise ValueError("trial log needs setting and outcome labels of equal length")
+    table = np.frombuffer(b"".join(suffixes), dtype=np.uint8).reshape(16, -1)
     total = np.zeros(16, dtype=np.int64)
     start = 0
-    with open(path, "w", newline="") as fh:
-        fh.write("trial,setting_l,setting_r,outcome_l,outcome_r\r\n")
+    with open(path, "wb") as fh:
+        fh.write(b"trial,setting_l,setting_r,outcome_l,outcome_r\r\n")
         for codes in shard_codes(config, behavior, workers=workers):
-            fh.write("".join([f"{i}{suffixes[c]}"
-                              for i, c in enumerate(codes.tolist(), start)]))
+            fh.write(_log_rows(start, codes, table))
             total += np.bincount(codes, minlength=16)
             start += len(codes)
     return code_table(behavior.settings, total)

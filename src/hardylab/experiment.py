@@ -12,6 +12,7 @@ canonical setting order, in realist mode).
 from __future__ import annotations
 
 import math
+import os
 from collections import deque
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
@@ -183,9 +184,9 @@ def shard_codes(config: ExperimentConfig, behavior: Behavior, *,
     """Each shard's outcome codes, in shard order.
 
     Code k means setting behavior.settings[k // 4] and outcome
-    JOINT_OUTCOMES[k % 4]. With several workers at most 2 * workers shards
-    are in flight, so memory is bounded by shard size and workers, never by
-    the trial count.
+    JOINT_OUTCOMES[k % 4]. The shards run on at most min(workers, shards,
+    CPUs) threads, with at most twice that many in flight, so memory is
+    bounded by shard size and CPU count, never by the trial count.
     """
     if len(behavior.left_labels) != 2 or len(behavior.right_labels) != 2 \
             or not behavior.is_full_grid():
@@ -201,6 +202,7 @@ def shard_codes(config: ExperimentConfig, behavior: Behavior, *,
         size = min(config.shard_size, config.trials - k * config.shard_size)
         return _run_shard(seeds[k], size, config, boundaries)
 
+    workers = min(workers, n_shards, os.cpu_count() or 1)
     if workers == 1:
         return map(shard, range(n_shards))
     return _bounded_map(shard, n_shards, workers)

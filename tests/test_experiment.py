@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import time
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
@@ -169,6 +170,40 @@ class TestRunExperiment:
         assert 0 <= min(ahead) and max(ahead) <= 2 * workers
         if workers == 1:
             assert max(ahead) == 0
+
+    @pytest.mark.parametrize("cpus, shards, pool", [(4, 10, 4), (4, 3, 3), (None, 10, None)])
+    def test_pool_bounded_by_cpus_and_shards(self, monkeypatch, cpus, shards, pool):
+        """A huge worker count asks for no more threads than CPUs or shards.
+
+        The pool is a synchronous stand-in, so no thread is started.
+        """
+        sizes, produced = [], []
+
+        class SyncPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def submit(self, fn, *args):
+                produced.append(True)
+                future = Future()
+                future.set_result(fn(*args))
+                return future
+
+            def shutdown(self, cancel_futures=False):
+                pass
+
+        monkeypatch.setattr(experiment, "ThreadPoolExecutor", SyncPool)
+        monkeypatch.setattr(experiment.os, "cpu_count", lambda: cpus)
+        config = ExperimentConfig(trials=64 * shards, seed=5, shard_size=64)
+        got = []
+        for consumed, codes in enumerate(
+                shard_codes(config, hardy_behavior(), workers=10 ** 6), start=1):
+            assert len(produced) - consumed <= 2 * (pool or 1)
+            got.append(codes)
+        assert sizes == ([pool] if pool else [])
+        expected = list(shard_codes(config, hardy_behavior()))
+        assert len(got) == shards
+        assert all(np.array_equal(a, b) for a, b in zip(got, expected))
 
     def test_log_omitted_unless_requested(self):
         _, records = run_experiment(ExperimentConfig(trials=100, seed=1),

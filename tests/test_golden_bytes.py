@@ -10,11 +10,12 @@ import csv
 import hashlib
 import io
 
+import numpy as np
 import pytest
 
-from hardylab.cli import _write_trial_log, main
+from hardylab.cli import _log_rows, _write_trial_log, main
 from hardylab.experiment import ExperimentConfig, run_experiment
-from hardylab.qstate import hardy_behavior
+from hardylab.qstate import JOINT_OUTCOMES, Behavior, SettingPair, hardy_behavior
 
 SEEDS = (7, 12345678901234567890)
 TRIALS = (1, 65535, 65536, 65537)  # below, at and past the default shard size
@@ -71,6 +72,25 @@ DIGESTS = {
         "a13e2c29787ebff6d57d0919f73ef17335613f407943b582d51042dda0a74005"),
 }
 
+# (model, trials) -> (sha256 of the --log CSV, sha256 of --format json stdout),
+# seed 7, recorded from the string-building log writer before the rows were
+# built in numpy. The trial index crosses 10**5 inside shard 1 and 10**6
+# inside shard 15, so a row's width changes within a shard.
+WIDE_DIGESTS = {
+    ("quantum", 100001): (
+        "7d620b978b973c63c59f26a11cbdaf5bf805046ef1becc25412deaaf5194ea33",
+        "4d00536c349aeae0caf0186a4d730c44cce0f6d6834f4c3216bfbf77e5c0e492"),
+    ("quantum", 1000001): (
+        "77027c210e6f9fde59d798a6c1961773f5625122479330b4c057e4ad668ffa87",
+        "9955f2656ed580429fdebb66a7fff2301e28ab7256c76d536b54b70ccedcafb3"),
+    ("realist", 100001): (
+        "ea12fd543d86d5dea556bd26d5f93feeecad41c42682baeacca11b008bb512ad",
+        "bee49fbed1d0b01684bf26315e957a187302a015a42f4291d3c13e61c475d17c"),
+    ("realist", 1000001): (
+        "2e8eca2a0ffe7c8d68a37f3a7227b8bfd239f9cb4f1a9cddaea053cc51082e68",
+        "78b09221424024feb1c012d67328b7d3376ac087e896d99f4575369047e0ade2"),
+}
+
 
 def sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
@@ -87,6 +107,17 @@ def test_simulate_bytes_are_pinned(capsys, tmp_path, model, seed, trials, worker
           "--workers", str(workers), "--log", str(log), "--format", "json"])
     stdout = capsys.readouterr().out.encode()
     assert (sha256(log.read_bytes()), sha256(stdout)) == DIGESTS[model, seed, trials]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("trials", [100001, 1000001])
+@pytest.mark.parametrize("model", ["quantum", "realist"])
+def test_bytes_pinned_across_digit_widths(capsys, tmp_path, model, trials, workers):
+    log = tmp_path / "log.csv"
+    main(["simulate", "--trials", str(trials), "--seed", "7", "--model", model,
+          "--workers", str(workers), "--log", str(log), "--format", "json"])
+    stdout = capsys.readouterr().out.encode()
+    assert (sha256(log.read_bytes()), sha256(stdout)) == WIDE_DIGESTS[model, trials]
 
 
 @pytest.mark.parametrize("model", ["quantum", "realist"])
@@ -106,3 +137,43 @@ def test_log_matches_csv_writer_over_records(tmp_path, model):
     freq = _write_trial_log(str(log), config, behavior, workers=2)
     assert log.read_bytes() == expected.getvalue().encode()
     assert freq.trials == 5000
+
+
+# ===========================================================================
+# the row builder
+# ===========================================================================
+
+SUFFIXES = [f",{s.left},{s.right},{c.left.value},{c.right.value}\r\n"
+            for s in hardy_behavior().settings for c in JOINT_OUTCOMES]
+TABLE = np.frombuffer("".join(SUFFIXES).encode(), dtype=np.uint8).reshape(16, -1)
+
+
+def reference_rows(start: int, codes: np.ndarray) -> bytes:
+    return "".join(f"{i}{SUFFIXES[c]}" for i, c in enumerate(codes.tolist(), start)).encode()
+
+
+@pytest.mark.parametrize("start", [10 ** k - 3 for k in range(1, 13)] + [2 ** 32 - 10])
+def test_rows_cross_a_power_of_ten(start):
+    """20 rows: from 10**k - 3 the index gains a digit after the third row, and
+    from 2**32 - 10 it passes the largest 32-bit value."""
+    codes = np.random.default_rng(start).integers(0, 16, 20).astype(np.uint8)
+    assert _log_rows(start, codes, TABLE) == reference_rows(start, codes)
+
+
+@pytest.mark.parametrize("start", [0, 990])
+def test_rows_cover_every_code(start):
+    codes = np.arange(16, dtype=np.uint8)
+    assert _log_rows(start, codes, TABLE) == reference_rows(start, codes)
+
+
+def test_no_codes_no_rows():
+    assert _log_rows(12345, np.zeros(0, dtype=np.uint8), TABLE) == b""
+
+
+def test_log_needs_labels_of_equal_length(tmp_path):
+    uniform = {c: 0.25 for c in JOINT_OUTCOMES}
+    behavior = Behavior({SettingPair(a, b): uniform for a in ("1", "10") for b in ("1", "2")})
+    log = tmp_path / "log.csv"
+    with pytest.raises(ValueError, match="equal length"):
+        _write_trial_log(str(log), ExperimentConfig(trials=10, seed=1), behavior, workers=1)
+    assert not log.exists()
