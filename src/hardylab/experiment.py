@@ -1,13 +1,15 @@
 """Monte Carlo measurement runs and frequency-vs-prediction comparison.
 
 Trials are split into fixed-size shards; shard k draws from its own PCG64
-generator spawned from the master seed, and shard results are concatenated
-in shard order. Output therefore depends only on (config, behavior), never
-on how many workers executed the shards.
+generator seeded by SeedSequence(seed, spawn_key=(k,)), the k-th child that
+SeedSequence(seed).spawn() gives, built only when the shard runs. Shard
+results are concatenated in shard order. Output therefore depends only on
+(config, behavior), never on how many workers executed the shards.
 
 Per-shard draw order is fixed: left settings, right settings, then outcome
 uniforms (one per trial in quantum mode; one per trial and setting, in
-canonical setting order, in realist mode).
+canonical setting order, in realist mode). Realist mode draws that whole
+block and reads only each trial's revealed entry.
 """
 from __future__ import annotations
 
@@ -156,27 +158,25 @@ def _row_boundaries(behavior: Behavior) -> np.ndarray:
 
 def _run_shard(seed_seq: np.random.SeedSequence, size: int,
                config: ExperimentConfig, boundaries: np.ndarray) -> np.ndarray:
-    """One shard's trials as outcome codes, setting index * 4 + outcome index."""
-    rng = np.random.Generator(np.random.PCG64(seed_seq))
-    left_idx = (rng.random(size) >= config.setting_law[0]).astype(np.uint8)
-    right_idx = (rng.random(size) >= config.setting_law[1]).astype(np.uint8)
-    setting_idx = 2 * left_idx + right_idx
+    """One shard's trials as outcome codes, setting index * 4 + outcome index.
 
+    Realist mode draws the full (size, 4) assignment block in C order and
+    reads only each trial's revealed entry. The outcome index is the number
+    of the chosen row's first three boundaries at or below the uniform,
+    which is searchsorted(row, u, side="right") since the row ends in 1.0.
+    """
+    rng = np.random.Generator(np.random.PCG64(seed_seq))
+    left = (rng.random(size) >= config.setting_law[0]).view(np.uint8)
+    right = (rng.random(size) >= config.setting_law[1]).view(np.uint8)
+    setting_idx = 2 * left + right
     if config.model == "quantum":
         u = rng.random(size)
-        outcome_idx = np.empty(size, dtype=np.uint8)
-        for k in range(4):
-            mask = setting_idx == k
-            outcome_idx[mask] = np.searchsorted(boundaries[k], u[mask], side="right")
     else:  # realist: a full assignment per trial, reveal the chosen setting
-        u_all = rng.random((size, 4))
-        per_setting = np.column_stack([
-            np.searchsorted(boundaries[k], u_all[:, k], side="right")
-            for k in range(4)
-        ])
-        outcome_idx = per_setting[np.arange(size), setting_idx]
-
-    return (setting_idx * 4 + outcome_idx).astype(np.uint8, copy=False)
+        u = rng.random(4 * size)[np.arange(0, 4 * size, 4) + setting_idx]
+    codes = 4 * setting_idx
+    for column in boundaries.T[:3]:
+        codes += (u >= column[setting_idx]).view(np.uint8)
+    return codes
 
 
 def shard_codes(config: ExperimentConfig, behavior: Behavior, *,
@@ -196,11 +196,11 @@ def shard_codes(config: ExperimentConfig, behavior: Behavior, *,
 
     boundaries = _row_boundaries(behavior)
     n_shards = math.ceil(config.trials / config.shard_size)
-    seeds = np.random.SeedSequence(config.seed).spawn(n_shards)
 
     def shard(k: int) -> np.ndarray:
         size = min(config.shard_size, config.trials - k * config.shard_size)
-        return _run_shard(seeds[k], size, config, boundaries)
+        seed = np.random.SeedSequence(config.seed, spawn_key=(k,))
+        return _run_shard(seed, size, config, boundaries)
 
     workers = min(workers, n_shards, os.cpu_count() or 1)
     if workers == 1:

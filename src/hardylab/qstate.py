@@ -51,18 +51,15 @@ class JointOutcome(enum.Enum):
     GR = "GR"
     GG = "GG"
 
-    @property
-    def left(self) -> Outcome:
-        return Outcome(self.value[0])
+    left: Outcome
+    right: Outcome
+    index: int  # position in the canonical cell order (RR, RG, GR, GG)
 
-    @property
-    def right(self) -> Outcome:
-        return Outcome(self.value[1])
-
-    @property
-    def index(self) -> int:
-        """Position in the canonical cell order (RR, RG, GR, GG)."""
-        return 2 * self.left.index + self.right.index
+    def __init__(self, value: str) -> None:
+        # Built once per member: the samplers read these per assignment.
+        self.left = Outcome(value[0])
+        self.right = Outcome(value[1])
+        self.index = 2 * self.left.index + self.right.index
 
     @classmethod
     def from_outcomes(cls, left: Outcome, right: Outcome) -> JointOutcome:

@@ -1,7 +1,10 @@
 """Trial running: sharded determinism, counts, and the comparison verdict."""
 from __future__ import annotations
 
+import bisect
+import itertools
 import time
+import tracemalloc
 from concurrent.futures import Future
 
 import numpy as np
@@ -216,6 +219,96 @@ class TestRunExperiment:
         config = ExperimentConfig(trials=200000, seed=37, model=model)
         freq, _ = run_experiment(config, hardy_behavior())
         assert compare_tables(freq, hardy_behavior()).passed
+
+
+# ===========================================================================
+# shard kernel
+# ===========================================================================
+
+def shard_seed(seed: int, k: int) -> np.random.SeedSequence:
+    return np.random.SeedSequence(seed, spawn_key=(k,))
+
+
+def reference_codes(config: ExperimentConfig, behavior: Behavior, k: int) -> list[int]:
+    """Shard k's codes one trial at a time, from the documented draw order."""
+    bounds = []
+    for row in behavior.table.values():
+        cum = list(itertools.accumulate(row[c] for c in JOINT_OUTCOMES))
+        cum = [c / cum[-1] for c in cum]
+        cum[-1] = 1.0
+        bounds.append(cum)
+    size = min(config.shard_size, config.trials - k * config.shard_size)
+    rng = np.random.Generator(np.random.PCG64(shard_seed(config.seed, k)))
+    left = rng.random(size).tolist()
+    right = rng.random(size).tolist()
+    if config.model == "quantum":
+        draws = rng.random(size).tolist()
+    else:
+        draws = rng.random((size, 4)).tolist()
+    codes = []
+    for i in range(size):
+        s = 2 * (left[i] >= config.setting_law[0]) + (right[i] >= config.setting_law[1])
+        u = draws[i] if config.model == "quantum" else draws[i][s]
+        codes.append(4 * s + bisect.bisect_right(bounds[s], u))
+    return codes
+
+
+def rows_with_zeros(zeros: tuple[int, ...], seed: int) -> Behavior:
+    """Seeded random rows; row r has zero-width cells at (z + r) % 4."""
+    rng = np.random.default_rng(seed)
+    table = {}
+    for r, setting in enumerate(SettingPair(a, b) for a in "12" for b in "12"):
+        p = rng.dirichlet(np.ones(4))
+        p[[(z + r) % 4 for z in zeros]] = 0.0
+        table[setting] = dict(zip(JOINT_OUTCOMES, (p / p.sum()).tolist()))
+    return Behavior(table)
+
+
+KERNEL_BEHAVIORS = {
+    "hardy": hardy_behavior(),
+    "no-zeros": rows_with_zeros((), 51),
+    "one-zero": rows_with_zeros((0,), 52),
+    "two-zeros": rows_with_zeros((0, 1), 53),
+    "certain": rows_with_zeros((0, 1, 2), 54),
+}
+
+
+class TestShardKernel:
+    @pytest.mark.parametrize("k", [0, 1, 5, 63])
+    def test_keyed_seed_equals_spawned_child(self, k):
+        seed = 2 ** 64 - 7
+        spawned = np.random.SeedSequence(seed).spawn(64)[k]
+        a = np.random.Generator(np.random.PCG64(spawned)).random(16)
+        b = np.random.Generator(np.random.PCG64(shard_seed(seed, k))).random(16)
+        assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("model", ["quantum", "realist"])
+    @pytest.mark.parametrize("size", [1, 7, 65537])
+    @pytest.mark.parametrize("law", [(0.0, 1.0), (1.0, 0.0), (0.3, 0.8)])
+    @pytest.mark.parametrize("name", list(KERNEL_BEHAVIORS))
+    def test_codes_match_per_trial_reference(self, name, law, size, model):
+        behavior = KERNEL_BEHAVIORS[name]
+        trials = 2 * size + 3 if size < 100 else size + 3  # ends in a partial shard
+        config = ExperimentConfig(trials=trials, seed=9001 + size, model=model,
+                                  setting_law=law, shard_size=size)
+        shards = list(shard_codes(config, behavior))
+        assert len(shards) == -(-trials // size)
+        for k, codes in enumerate(shards):
+            assert codes.dtype == np.uint8
+            assert codes.tolist() == reference_codes(config, behavior, k)
+
+    def test_first_shard_of_huge_run_allocates_only_a_shard(self):
+        """Shard seeds are built as shards run, not all before the first."""
+        config = ExperimentConfig(trials=65536 * 200_000, seed=3)
+        behavior = hardy_behavior()
+        tracemalloc.start()
+        try:
+            codes = next(iter(shard_codes(config, behavior)))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(codes) == 65536
+        assert peak < 8 * 2 ** 20
 
 
 # ===========================================================================
