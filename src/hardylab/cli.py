@@ -19,6 +19,7 @@ from typing import Any, NoReturn, Sequence
 import numpy as np
 
 from .experiment import (
+    Z_LIMIT,
     ExperimentConfig,
     FrequencyTable,
     code_table,
@@ -123,7 +124,10 @@ def parse_behavior_json(text: str) -> Behavior:
             value = row[cell.value]
             if isinstance(value, bool) or not isinstance(value, (int, float)):
                 raise ValueError(f"cell {key}:{cell.value} has non-numeric value {value!r}")
-            cells[cell] = float(value)
+            try:
+                cells[cell] = float(value)
+            except OverflowError:
+                raise ValueError(f"cell {key}:{cell.value} is too large for a float") from None
         table[SettingPair(key[0], key[1])] = cells
     return Behavior(table)
 
@@ -253,7 +257,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         print(f"trials: {config.trials}")
         print(f"seed: {config.seed}")
         print(f"setting totals: {totals}")
-        print(f"max |z|: {_fmt(report.max_abs_z)} (limit {_fmt(5.0)})")
+        print(f"max |z|: {_fmt(report.max_abs_z)} (limit {_fmt(Z_LIMIT)})")
         print(f"chi-square: {_fmt(report.chi_square)} (dof {report.dof}, "
               f"limit {_fmt(report.chi_square_limit)})")
         print(f"structural zero cells: {'clean' if structural else 'VIOLATED'}")

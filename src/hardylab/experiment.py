@@ -156,6 +156,23 @@ def _row_boundaries(behavior: Behavior) -> np.ndarray:
     return np.asarray(rows)
 
 
+def sample_assignments(behavior: Behavior, rng: np.random.Generator,
+                       n: int) -> np.ndarray:
+    """n pre-existing assignments, one outcome index per setting.
+
+    Returns an (n, settings) uint8 array: entry [i, k] is the index into
+    JOINT_OUTCOMES of the outcome that assignment i holds for
+    behavior.settings[k]. The n * settings uniforms are drawn in C order and
+    each index is counted against the row boundaries as in _run_shard, so a
+    realist-mode trial reveals one entry of such an assignment.
+    """
+    u = rng.random((n, len(behavior.settings)))
+    idx = np.zeros(u.shape, dtype=np.uint8)
+    for column in _row_boundaries(behavior).T[:3]:
+        idx += (u >= column).view(np.uint8)
+    return idx
+
+
 def _run_shard(seed_seq: np.random.SeedSequence, size: int,
                config: ExperimentConfig, boundaries: np.ndarray) -> np.ndarray:
     """One shard's trials as outcome codes, setting index * 4 + outcome index.
@@ -188,8 +205,7 @@ def shard_codes(config: ExperimentConfig, behavior: Behavior, *,
     CPUs) threads, with at most twice that many in flight, so memory is
     bounded by shard size and CPU count, never by the trial count.
     """
-    if len(behavior.left_labels) != 2 or len(behavior.right_labels) != 2 \
-            or not behavior.is_full_grid():
+    if not behavior.is_full_grid():
         raise ValueError("experiment needs a behavior over a full 2x2 setting grid")
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers!r}")

@@ -156,8 +156,7 @@ class MembershipResult:
 
 
 def _grid_cells(behavior: Behavior) -> list[tuple[SettingPair, JointOutcome]]:
-    if len(behavior.left_labels) != 2 or len(behavior.right_labels) != 2 \
-            or not behavior.is_full_grid():
+    if not behavior.is_full_grid():
         raise ValueError("locality checks need a behavior over a full 2x2 setting grid")
     return [(s, c) for s in behavior.settings for c in JOINT_OUTCOMES]
 

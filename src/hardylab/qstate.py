@@ -300,9 +300,8 @@ class Behavior:
                 yield setting, cell, p
 
     def is_full_grid(self) -> bool:
-        """True when every left label pairs with every right label."""
-        expected = {SettingPair(l, r) for l in self.left_labels for r in self.right_labels}
-        return expected == set(self.table)
+        """True when two left labels each pair with both of two right labels."""
+        return len(self.left_labels) == len(self.right_labels) == 2 and len(self.table) == 4
 
     def no_signaling_residual(self) -> float:
         """Largest shift of a one-side marginal when the far setting changes."""

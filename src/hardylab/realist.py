@@ -3,19 +3,21 @@
 Every setting pair carries a definite pre-existing joint outcome; measuring
 a pair only uncovers the outcome already assigned to it. Assignments are
 drawn independently per setting with Born weights, so single-run statistics
-reproduce the quantum rows by construction. Whether one assignment can be
-explained by per-side response functions is a separate, checkable question.
+reproduce the quantum rows by construction. They come in batches from
+experiment.sample_assignments, and a realist-mode trial of the experiment
+reveals one entry of such an assignment. Rows are renormalized to sum to
+exactly 1 before drawing, so the slack of a row that sums to 1 within 1e-9
+is shared among its cells in proportion to their weight. Whether one
+assignment can be explained by per-side response functions is a separate,
+checkable question.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
-import numpy as np
-
 from .qstate import (
     JOINT_OUTCOMES,
-    Behavior,
     BasisChange,
     JointOutcome,
     Outcome,
@@ -125,31 +127,6 @@ class ContextAssignment:
                 raise ValueError(f"bad outcome {name!r} for setting {key!r}") from None
             per_setting[SettingPair(key[0], key[1])] = outcome
         return cls(per_setting)
-
-
-def sample_context(behavior: Behavior, rng: np.random.Generator) -> ContextAssignment:
-    """Draw one pre-existing outcome per setting, independently, Born-weighted.
-
-    Settings are visited in canonical order with one uniform draw each, so a
-    seeded generator yields a reproducible assignment stream.
-    """
-    per_setting: dict[SettingPair, JointOutcome] = {}
-    for setting, row in behavior.table.items():
-        u = rng.random()
-        acc = 0.0
-        chosen = None
-        for cell in JOINT_OUTCOMES:
-            p = row[cell]
-            if p <= 0.0:
-                continue  # structural zero: never assigned
-            acc += p
-            if u < acc:
-                chosen = cell
-                break
-        if chosen is None:  # u fell into the row-sum float slack
-            chosen = next(c for c in reversed(JOINT_OUTCOMES) if row[c] > 0.0)
-        per_setting[setting] = chosen
-    return ContextAssignment(per_setting)
 
 
 def reveal(assignment: ContextAssignment, chosen: SettingPair) -> JointOutcome:

@@ -14,7 +14,12 @@ from itertools import product
 import numpy as np
 
 import oracles
-from hardylab.experiment import ExperimentConfig, compare_tables, run_experiment
+from hardylab.experiment import (
+    ExperimentConfig,
+    compare_tables,
+    run_experiment,
+    sample_assignments,
+)
 from hardylab.locality import (
     HARDY_SETTINGS,
     deterministic_strategies,
@@ -48,7 +53,6 @@ from hardylab.realist import (
     distinguish_states,
     enumerate_preexisting,
     is_noncontextual,
-    sample_context,
 )
 
 EXACT_FRACTION = 6233 / 51200
@@ -190,9 +194,13 @@ def test_08_assignment_classification():
 
     n = 10 ** 6
     rng = np.random.default_rng(314159)
+    codes = sample_assignments(behavior, rng, n).astype(np.intp) @ [64, 16, 4, 1]
+    counts = np.bincount(codes, minlength=256)  # base-4 codes, in product() order
     hits = 0
-    for _ in range(n):
-        hits += is_noncontextual(sample_context(behavior, rng))
+    for code, quad in enumerate(product(JOINT_OUTCOMES, repeat=4)):
+        if counts[code]:
+            assignment = ContextAssignment(dict(zip(behavior.settings, quad)))
+            hits += int(counts[code]) * is_noncontextual(assignment)
     se = math.sqrt(EXACT_FRACTION * (1 - EXACT_FRACTION) / n)
     assert abs(hits / n - EXACT_FRACTION) < 5 * se
 

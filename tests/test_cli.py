@@ -277,6 +277,15 @@ class TestCheckLocal:
         assert code == 1
         assert "invalid probability" in err
 
+    def test_integer_beyond_float_range_is_rejected(self, capsys, tmp_path):
+        rows = {k: dict(v) for k, v in UNIFORM_ROWS.items()}
+        rows["12"]["RG"] = 10 ** 400
+        code, out, err = run_cli(capsys, "check-local", "--behavior",
+                                 self.write(tmp_path, rows))
+        assert code == 1
+        assert out == ""
+        assert err.splitlines() == ["error: cell 12:RG is too large for a float"]
+
     def test_invalid_json_is_rejected(self, capsys, tmp_path):
         path = tmp_path / "behavior.json"
         path.write_text("{not json")

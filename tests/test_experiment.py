@@ -17,6 +17,7 @@ from hardylab.experiment import (
     FrequencyTable,
     compare_tables,
     run_experiment,
+    sample_assignments,
     shard_codes,
 )
 from hardylab.qstate import (
@@ -229,14 +230,20 @@ def shard_seed(seed: int, k: int) -> np.random.SeedSequence:
     return np.random.SeedSequence(seed, spawn_key=(k,))
 
 
-def reference_codes(config: ExperimentConfig, behavior: Behavior, k: int) -> list[int]:
-    """Shard k's codes one trial at a time, from the documented draw order."""
+def reference_bounds(behavior: Behavior) -> list[list[float]]:
+    """Each row's renormalized cumulative boundaries, ending in exactly 1.0."""
     bounds = []
     for row in behavior.table.values():
         cum = list(itertools.accumulate(row[c] for c in JOINT_OUTCOMES))
         cum = [c / cum[-1] for c in cum]
         cum[-1] = 1.0
         bounds.append(cum)
+    return bounds
+
+
+def reference_codes(config: ExperimentConfig, behavior: Behavior, k: int) -> list[int]:
+    """Shard k's codes one trial at a time, from the documented draw order."""
+    bounds = reference_bounds(behavior)
     size = min(config.shard_size, config.trials - k * config.shard_size)
     rng = np.random.Generator(np.random.PCG64(shard_seed(config.seed, k)))
     left = rng.random(size).tolist()
@@ -271,6 +278,7 @@ KERNEL_BEHAVIORS = {
     "two-zeros": rows_with_zeros((0, 1), 53),
     "certain": rows_with_zeros((0, 1, 2), 54),
 }
+ONE_SETTING = Behavior({SettingPair("1", "1"): dict(zip(JOINT_OUTCOMES, (0.5, 0.0, 0.2, 0.3)))})
 
 
 class TestShardKernel:
@@ -296,6 +304,26 @@ class TestShardKernel:
         for k, codes in enumerate(shards):
             assert codes.dtype == np.uint8
             assert codes.tolist() == reference_codes(config, behavior, k)
+            if model == "realist":  # the revealed entry of the batch sampler's assignment
+                rng = np.random.Generator(np.random.PCG64(shard_seed(config.seed, k)))
+                left = rng.random(len(codes)) >= law[0]
+                right = rng.random(len(codes)) >= law[1]
+                setting_idx = 2 * left + right
+                assignments = sample_assignments(behavior, rng, len(codes))
+                revealed = assignments[np.arange(len(codes)), setting_idx]
+                assert np.array_equal(revealed, codes % 4)
+
+    @pytest.mark.parametrize("n", [0, 1, 1000])
+    @pytest.mark.parametrize("name", [*KERNEL_BEHAVIORS, "one-setting"])
+    def test_assignments_match_per_entry_reference(self, name, n):
+        behavior = KERNEL_BEHAVIORS.get(name, ONE_SETTING)
+        assignments = sample_assignments(behavior, np.random.default_rng(77), n)
+        draws = np.random.default_rng(77).random((n, len(behavior.settings))).tolist()
+        bounds = reference_bounds(behavior)
+        assert assignments.dtype == np.uint8
+        assert assignments.shape == (n, len(behavior.settings))
+        assert assignments.tolist() == [[bisect.bisect_right(b, u) for b, u in zip(bounds, row)]
+                                        for row in draws]
 
     def test_first_shard_of_huge_run_allocates_only_a_shard(self):
         """Shard seeds are built as shards run, not all before the first."""

@@ -1,8 +1,9 @@
-"""Pinned output bytes of `simulate`: the --log CSV and the JSON stdout.
+"""Pinned output bytes: `simulate`'s --log CSV and JSON stdout, and the
+stdout of `interpret`, `tables` and `mixture-compare` in every format.
 
-The digests were recorded from the per-trial csv.writer log before it was
-streamed shard by shard; any change to the sampler's draw order, the shard
-seeding or the log format moves them.
+The `simulate` digests were recorded from the per-trial csv.writer log before
+it was streamed shard by shard; any change to the sampler's draw order, the
+shard seeding or the log format moves them.
 """
 from __future__ import annotations
 
@@ -137,6 +138,155 @@ def test_log_matches_csv_writer_over_records(tmp_path, model):
     freq = _write_trial_log(str(log), config, behavior, workers=2)
     assert log.read_bytes() == expected.getvalue().encode()
     assert freq.trials == 5000
+
+
+# ===========================================================================
+# stdout of interpret, tables and mixture-compare
+# ===========================================================================
+
+STATES = ("hardy", "phi-minus", "phi-plus")
+BASES = ("zz", "zx", "xz", "xx", "11", "12", "21", "22")
+
+# (state, basis, against) -> (sha256 of text stdout, sha256 of --format json
+# stdout), recorded before the scalar assignment sampler was removed from
+# `realist`. Every combination not listed exits 1 with empty stdout: no
+# built-in basis change reaches the basis for one of its states.
+INTERPRET_DIGESTS = {
+    ("hardy", "11", None): (
+        "4ddd909c0fd88a9f540c3adc4f72a786f07ea8ef857354c19c54b623a4504f92",
+        "419e7b0a6a31ef982326c7f17235021f49ffa7274642d59088da2d678c29272a"),
+    ("hardy", "11", "hardy"): (
+        "3ab924d8a755bbbfa9471a8a410172359facb8be0a0534302614953debb2aea3",
+        "c3de30dc21099f0b5cf0e0a758e91dc9bad872816f6edfc50816bc21c8517a4d"),
+    ("hardy", "12", None): (
+        "61c0eb9fe5d0b4aeee07d48a219f66b6529e9f642899921cb754ea3a6db88895",
+        "d7d25a149aee564559cad7761283b1012adf370a1ddfdfb514f09f283f66343b"),
+    ("hardy", "12", "hardy"): (
+        "7c50a4f0467e4aaca580432cef9e18cf04e0ab059a248d8ab307ba9a61f7a370",
+        "38dbb0d86bbbff19ba60eb1ae1118f31569d2491a06f27f461e88f6bdec5929b"),
+    ("hardy", "21", None): (
+        "15e437f13cb604c6f04603c99bb61d1793092b6a1e0ac737e857899df5db8819",
+        "6c944817242857439a167f8747e9cf39809124989d484d96757f23148f5e8735"),
+    ("hardy", "21", "hardy"): (
+        "784af9d228a134f3d120c7e0cb126aead99cb1ffcf7cccddf9a1a89ed15500b6",
+        "3da8f32f8a8a3975a2699bf511d16256749da73ac593829958c6ccdf774a118b"),
+    ("hardy", "22", None): (
+        "daadf417020165b6529e2ca2d905e1c16be7deb664e48d55b1f979322d2b7254",
+        "284e91062a01f3c40e750d509585bcb10060a56997bf3a7c45fbe94f95f2256c"),
+    ("hardy", "22", "hardy"): (
+        "387884e230ebc1e69accf7cf073f7ccb812648ff8ebac0a4290797f9211afe0b",
+        "a8c4fa6eb47ed8ae7989a19bae3a1a277d824b713e3435124fc079cb7e2c1d71"),
+    ("phi-minus", "zz", None): (
+        "a01bd9a22fe2e2cfaf9c55517ec5bfcd86bf2ff97739a26ae03d677ef6485388",
+        "c265b92a570577e0b996665a137941c88cfe66803ca69a95373c68bccf307c20"),
+    ("phi-minus", "zz", "phi-minus"): (
+        "58ef93cf85772af246c2aaef003842edc15554ef3b195fc009201d4532231128",
+        "a4831397a8cb1589e547ffde8e4291a7184e63a4d55f8f759ce282d5337e756c"),
+    ("phi-minus", "zz", "phi-plus"): (
+        "5b62456ee8923867c025d542b59f777985b29abba26bed8243db3706069164a7",
+        "657e3ac04be4b92e290c032f5ba7c7087ce5c855bbcdee5efc28f9e3eeb6db1b"),
+    ("phi-minus", "zx", None): (
+        "4906fca843d7728dd4ef1badb179990979c6619ceb1c6bf6b6db534b80553aa7",
+        "baf0a5b7ac665ffbd5c7bf0957fd96271a3094615f35b43c106a86e0573bfe94"),
+    ("phi-minus", "zx", "phi-minus"): (
+        "6c277c683ad890e43f576bcea5ef8275910a04a645edf252bb7c89573c545c77",
+        "d919f8ec07e94a1a54e4a9fc29085b011fc43593a9e2c4f5df6aee041aac07c0"),
+    ("phi-minus", "zx", "phi-plus"): (
+        "9566160990e6b89b36921deb5e5f93e68d2e75888add534eba7c5638dccb14a1",
+        "eb8ddca91f98f49538aeb5b87c91bfc803b986f06c884017946602d1bb02adbe"),
+    ("phi-minus", "xz", None): (
+        "bdd94d6553503fd2ea0dfcfda19f145c7eb7eb32734fe788b30ad5ba5dd0ed72",
+        "a29725b3407ec981727bba86b06b8afc0f0adf7635b8b57c33600d7a5ff586e9"),
+    ("phi-minus", "xz", "phi-minus"): (
+        "696c69d63bce21bd4342b108b3cc8896a7179f079673a333b51fa9338c348c62",
+        "aaf67c63fc9ff5da94a58bcd05c1c193b5c48deac8a790e59274985feb2cf63b"),
+    ("phi-minus", "xz", "phi-plus"): (
+        "49db97294eaf726a3b1af39401b41f0f0db6a7ff34b67f56dfe5c3dc8c40ff93",
+        "db326b804b2e06174b2b234fde6d62bc09ccef6ff67200e593e8f380e127fb7b"),
+    ("phi-minus", "xx", None): (
+        "1d99491bc0865cbe0efcc02080830aeae3f58e989617d7aab21788b61bc5fc65",
+        "d60e411aedfbce986e9a23d118e0ffee94c1a994dce321e63b8e58316540c6ac"),
+    ("phi-minus", "xx", "phi-minus"): (
+        "d7b6652948bfc3a21c99fb4dce5bef50f7267a7bd5f4159b01b9eeeb75100c72",
+        "49904321bc7091460ab3c1e2d3bf93ec360e86cbeb31d6ef9b6465cb97931a40"),
+    ("phi-minus", "xx", "phi-plus"): (
+        "8b8bd956bb0c3b630cfb78b59543c87b7a7f049d6f47f1797ff721cfc0235512",
+        "44d3a1379ed99a53a3c69b53b0245508422c6e150c60749a00c5451064cfe1fe"),
+    ("phi-plus", "zz", None): (
+        "a83776b65c6ee1f3215d2ad4b8160007c208f5b70b46d21fc54e953cbc37d0ab",
+        "76b0ff84d9ea17d3740244c0389fb57633988a987d39d7fc48b4323e794877cc"),
+    ("phi-plus", "zz", "phi-minus"): (
+        "df37d2b29c05f4377a5f12fc778b6de60d78f99e7680e497289c1b47245796f1",
+        "22c365648e34d23cac53f9df621803e6a2eb9dbdca4c554504942f5dc152fe04"),
+    ("phi-plus", "zz", "phi-plus"): (
+        "ffb9d17dd2a7e2590e0c6d9fc5446a3d2854b3972e1662b0ac2bb97f14a29b7e",
+        "124a9f63217488a85b5662970a086f09a92e61caef66ae0387fa2dc56ecfcf14"),
+    ("phi-plus", "zx", None): (
+        "66728368648a3925a628e6055579803e8eeaf4037f351b185ae9acefbfeec476",
+        "5eb421998c2fdbbb506e442870ef76613be02aa1dd18f682611ed0753c8aa9e0"),
+    ("phi-plus", "zx", "phi-minus"): (
+        "fc895d09f46861ca91eb4ac37ea6e02ffb92e7e35e01604a1e00e910c8830d7a",
+        "674c3bece5d14eecb26afb6ef0e15965c2b827dd2ca2a2b9868a106b66aba130"),
+    ("phi-plus", "zx", "phi-plus"): (
+        "54b435ebd919b9eb1ec9b59a445179c2d6a12b35e7d3da07f85446ec3b2d77ab",
+        "d0baab0aff6149c42974b8d536a3f93e968de22fa1e7d912d05418b36697a188"),
+    ("phi-plus", "xz", None): (
+        "01a983b2f08510389fb71d352cfdc0415ded2239514bb5c379474f443d43187f",
+        "70dd8637b5a3e0f890ce806d9f117ea624885fc2749a8aeef8ebfc27ac89b71c"),
+    ("phi-plus", "xz", "phi-minus"): (
+        "2f6fd02453483b766a59dfdb5fc0d171f479941bfd005d2d567e4964f73774f4",
+        "00869cd076950961a57bbec528b3e18d705f23a6f89fb60acacb3fa1e5d11237"),
+    ("phi-plus", "xz", "phi-plus"): (
+        "5ada375ac8e6eaa2f37e238c3a22530e3eae02fe2e5d7c006932650a70824d6d",
+        "8cf6bf251e06e3b573c714cdf6188fac3aad7191db9bc6ed0e40e8b7484a5883"),
+    ("phi-plus", "xx", None): (
+        "a72872aa6b6bf607d10ffcd94d5725b68142e9a9fa6623fb8fdf6e8fa5c34e0f",
+        "1ce2dc3ac8133bce54008d48ad1db1c20595ccecc66d35480e67988220011ccd"),
+    ("phi-plus", "xx", "phi-minus"): (
+        "b8e1952d6727f41e44a4fbfa0274b83908d5056eac02e4f1e936ca44cbea61d3",
+        "56b486967e911af45fd8fdf3ac6035bce29b9da7516ae1b45bdc3bc03d545463"),
+    ("phi-plus", "xx", "phi-plus"): (
+        "fb9ee998bb2315ed4611b2843153a445eaab50117b4aafac67ba633856981473",
+        "769992d78d0f1e954976e4ce4639000d45914b835847362e708eb02334af63ab"),
+}
+
+# (subcommand, format) -> sha256 of stdout, recorded at the same commit.
+STDOUT_DIGESTS = {
+    ("tables", "text"):
+        "5c15b49cdbe3360eaa1011d9cf152ae11e7b8a5788780c126412d3f0b9e17b3b",
+    ("tables", "json"):
+        "0deae69155f37e448fc0dbfa5ef346cae87942ca5e6c147fceca1d1c0b81eb4e",
+    ("tables", "csv"):
+        "b1f2c73895027c81ff8225e1d0a2835b233d3f15535635891808b011228ba739",
+    ("mixture-compare", "text"):
+        "edd3123f94a0994643653961421cd7a32883acf27a0b05b592101316009d20ff",
+    ("mixture-compare", "json"):
+        "d1662f8c89cc2946689824f3ec51a82627d1079b7bce2bae8b3cefb536ef32c0",
+}
+
+
+@pytest.mark.parametrize("against", [None, *STATES])
+@pytest.mark.parametrize("basis", BASES)
+@pytest.mark.parametrize("state", STATES)
+def test_interpret_bytes_are_pinned(capsys, state, basis, against):
+    expected = INTERPRET_DIGESTS.get((state, basis, against))
+    outputs = []
+    for fmt in ("text", "json"):
+        argv = ["interpret", "--state", state, "--basis", basis, "--format", fmt]
+        if against is not None:
+            argv += ["--against", against]
+        assert main(argv) == (1 if expected is None else 0)
+        outputs.append(capsys.readouterr().out.encode())
+    if expected is None:
+        assert outputs == [b"", b""]
+    else:
+        assert tuple(sha256(out) for out in outputs) == expected
+
+
+@pytest.mark.parametrize(("command", "fmt"), list(STDOUT_DIGESTS))
+def test_stdout_bytes_are_pinned(capsys, command, fmt):
+    assert main([command, "--format", fmt]) == 0
+    assert sha256(capsys.readouterr().out.encode()) == STDOUT_DIGESTS[command, fmt]
 
 
 # ===========================================================================

@@ -22,7 +22,7 @@ from hardylab.locality import (
     noncontextual_fraction,
     strategy_behavior,
 )
-from hardylab.experiment import ExperimentConfig, run_experiment
+from hardylab.experiment import ExperimentConfig, run_experiment, sample_assignments
 from hardylab.qstate import (
     JOINT_OUTCOMES,
     Behavior,
@@ -31,7 +31,7 @@ from hardylab.qstate import (
     SettingPair,
     hardy_behavior,
 )
-from hardylab.realist import ContextAssignment, is_noncontextual, sample_context
+from hardylab.realist import ContextAssignment, is_noncontextual
 
 EXACT_FRACTION = 6233 / 51200  # closed form of the Hardy noncontextual mass
 
@@ -267,8 +267,13 @@ class TestNoncontextualFraction:
         n = 200000
         rng = np.random.default_rng(99)
         behavior = hardy_behavior()
-        hits = sum(
-            is_noncontextual(sample_context(behavior, rng)) for _ in range(n))
+        codes = sample_assignments(behavior, rng, n).astype(np.intp) @ [64, 16, 4, 1]
+        counts = np.bincount(codes, minlength=256)  # base-4 codes, in product() order
+        hits = 0
+        for code, quad in enumerate(product(JOINT_OUTCOMES, repeat=4)):
+            if counts[code]:
+                assignment = ContextAssignment(dict(zip(behavior.settings, quad)))
+                hits += int(counts[code]) * is_noncontextual(assignment)
         se = np.sqrt(EXACT_FRACTION * (1 - EXACT_FRACTION) / n)
         assert abs(hits / n - EXACT_FRACTION) < 5 * se
 

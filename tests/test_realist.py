@@ -6,6 +6,7 @@ from itertools import product
 import numpy as np
 import pytest
 
+from hardylab.experiment import sample_assignments
 from hardylab.qstate import (
     JOINT_OUTCOMES,
     Behavior,
@@ -26,7 +27,6 @@ from hardylab.realist import (
     enumerate_preexisting,
     is_noncontextual,
     reveal,
-    sample_context,
 )
 
 HARDY_SETTINGS = tuple(SettingPair(l, r) for l in "12" for r in "12")
@@ -104,15 +104,20 @@ class TestDistinguishStates:
 # ===========================================================================
 
 class TestSampleContext:
+    """Assignments drawn in batches by experiment.sample_assignments."""
+
     def test_assignment_covers_all_settings(self):
-        assignment = sample_context(hardy_behavior(), np.random.default_rng(0))
-        assert tuple(assignment.per_setting) == HARDY_SETTINGS
+        beh = hardy_behavior()
+        assignments = sample_assignments(beh, np.random.default_rng(0), 3)
+        assert beh.settings == HARDY_SETTINGS
+        assert assignments.shape == (3, len(HARDY_SETTINGS))
+        assert assignments.dtype == np.uint8
 
     def test_seeded_stream_is_reproducible(self):
         beh = hardy_behavior()
-        first = [sample_context(beh, np.random.default_rng(123)) for _ in range(20)]
-        second = [sample_context(beh, np.random.default_rng(123)) for _ in range(20)]
-        assert first == second
+        first = sample_assignments(beh, np.random.default_rng(123), 20)
+        second = sample_assignments(beh, np.random.default_rng(123), 20)
+        assert np.array_equal(first, second)
 
     def test_certain_row_is_always_assigned(self):
         """A {RG: 1} row forces RG in every sampled assignment."""
@@ -120,19 +125,30 @@ class TestSampleContext:
             JointOutcome.RR: 0.0, JointOutcome.RG: 1.0,
             JointOutcome.GR: 0.0, JointOutcome.GG: 0.0}}
         beh = Behavior(table)
-        rng = np.random.default_rng(5)
-        for _ in range(100):
-            assert sample_context(beh, rng).per_setting[SettingPair("1", "1")] \
-                is JointOutcome.RG
+        assignments = sample_assignments(beh, np.random.default_rng(5), 100)
+        assert assignments.shape == (100, 1)
+        assert (assignments == JointOutcome.RG.index).all()
+
+    def test_row_slack_is_split_in_proportion(self):
+        """A row summing to 1 - 8e-10 is renormalized before the uniforms are counted."""
+        cells = (0.25 - 2e-10, 0.25 - 2e-10, 0.5 - 4e-10, 0.0)
+        beh = Behavior({SettingPair("1", "1"): dict(zip(JOINT_OUTCOMES, cells))})
+
+        class FixedUniforms:
+            def random(self, shape):
+                return np.array([0.25 - 1e-10, 1.0 - 1e-10]).reshape(shape)
+
+        assignments = sample_assignments(beh, FixedUniforms(), 2)
+        assert assignments[:, 0].tolist() == [JointOutcome.RR.index, JointOutcome.GR.index]
 
     def test_structural_zeros_never_sampled(self):
         beh = hardy_behavior()
-        rng = np.random.default_rng(99)
-        for _ in range(5000):
-            a = sample_context(beh, rng).per_setting
-            assert a[SettingPair("1", "1")] is not JointOutcome.RR
-            assert a[SettingPair("1", "2")] is not JointOutcome.GG
-            assert a[SettingPair("2", "1")] is not JointOutcome.GG
+        assignments = sample_assignments(beh, np.random.default_rng(99), 5000)
+        for setting, cell in ((SettingPair("1", "1"), JointOutcome.RR),
+                              (SettingPair("1", "2"), JointOutcome.GG),
+                              (SettingPair("2", "1"), JointOutcome.GG)):
+            column = assignments[:, beh.settings.index(setting)]
+            assert not (column == cell.index).any()
 
     @pytest.mark.parametrize("seed", range(10))
     def test_marginals_track_rows_within_five_sigma(self, seed):
@@ -141,20 +157,17 @@ class TestSampleContext:
         False-failure budget: 10 seeds x 16 cells x P(|z| > 5) ~ 1e-5.
         """
         beh = hardy_behavior()
-        rng = np.random.default_rng(seed)
         n = 10000
-        counts = {s: {c: 0 for c in JOINT_OUTCOMES} for s in beh.settings}
-        for _ in range(n):
-            for s, o in sample_context(beh, rng).per_setting.items():
-                counts[s][o] += 1
-        for s in beh.settings:
+        assignments = sample_assignments(beh, np.random.default_rng(seed), n)
+        for k, s in enumerate(beh.settings):
+            counts = np.bincount(assignments[:, k], minlength=4)
             for cell in JOINT_OUTCOMES:
                 p = beh.table[s][cell]
                 if p in (0.0, 1.0):
-                    assert counts[s][cell] == n * int(p)
+                    assert counts[cell.index] == n * int(p)
                     continue
                 sigma = np.sqrt(p * (1 - p) / n)
-                assert abs(counts[s][cell] / n - p) < 5 * sigma
+                assert abs(counts[cell.index] / n - p) < 5 * sigma
 
 
 class TestReveal:
