@@ -27,7 +27,7 @@ from .experiment import (
     run_experiment,
     shard_codes,
 )
-from .locality import local_membership
+from .locality import HARDY_SETTINGS, local_membership
 from .qstate import (
     JOINT_OUTCOMES,
     Behavior,
@@ -47,7 +47,7 @@ from .qstate import (
     rebase_state_to,
     zx_change,
 )
-from .realist import distinguish_states, enumerate_preexisting
+from .realist import enumerate_preexisting, same_candidates
 
 FORMAT_VERSION = 1
 DIFF_TOL = 1e-9  # cells whose probabilities differ by more than this are reported
@@ -166,7 +166,7 @@ def _write_trial_log(path: str, config: ExperimentConfig, behavior: Behavior,
     as csv.writer's default dialect writes them.
     """
     suffixes = [f",{s.left},{s.right},{c.left.value},{c.right.value}\r\n".encode()
-                for s in behavior.settings for c in JOINT_OUTCOMES]
+                for s, c, _ in behavior.cells()]
     if len({len(s) for s in suffixes}) != 1:
         raise ValueError("trial log needs setting and outcome labels of equal length")
     table = np.frombuffer(b"".join(suffixes), dtype=np.uint8).reshape(16, -1)
@@ -178,7 +178,7 @@ def _write_trial_log(path: str, config: ExperimentConfig, behavior: Behavior,
             fh.write(_log_rows(start, codes, table))
             total += np.bincount(codes, minlength=16)
             start += len(codes)
-    return code_table(behavior.settings, total)
+    return code_table(behavior, total)
 
 
 def _builtin_changes():
@@ -192,9 +192,8 @@ def _builtin_changes():
 def cmd_tables(args: argparse.Namespace) -> int:
     state = hardy_state()
     change = hardy_basis_change()
-    behavior = quantum_behavior(state, change)
     rows = []
-    for setting in behavior.settings:
+    for setting in HARDY_SETTINGS:
         rebased = rebase_state_to(state, setting, [change])
         probs = born_table(rebased)
         labels = _COEFF_LABELS.get(setting.key, {})
@@ -277,14 +276,12 @@ def cmd_interpret(args: argparse.Namespace) -> int:
     against_block = None
     if args.against is not None:
         other = _STATES[args.against]()
-        other_rebased = rebase_state_to(other, setting, changes)
-        other_candidates = enumerate_preexisting(other_rebased)
-        same = distinguish_states(state, other, [setting], changes)[setting]
+        other_candidates = enumerate_preexisting(rebase_state_to(other, setting, changes))
         against_block = {
             "state": args.against,
             "candidates": [{"outcome": c.state.joint.value, "probability": c.probability}
                            for c in other_candidates],
-            "same_candidates": same,
+            "same_candidates": same_candidates(candidates, other_candidates),
         }
 
     if args.format == "json":

@@ -146,14 +146,10 @@ def _row_boundaries(behavior: Behavior) -> np.ndarray:
     Rows are renormalized so the last boundary is exactly 1.0; structural
     zeros keep zero width, so they can never be hit by a uniform draw.
     """
-    rows = []
-    for setting in behavior.settings:
-        row = behavior.table[setting]
-        cum = np.cumsum([row[c] for c in JOINT_OUTCOMES])
-        cum = cum / cum[-1]
-        cum[-1] = 1.0
-        rows.append(cum)
-    return np.asarray(rows)
+    cum = np.cumsum(np.reshape([p for _, _, p in behavior.cells()], (-1, 4)), axis=1)
+    cum /= cum[:, -1:]
+    cum[:, -1] = 1.0
+    return cum
 
 
 def sample_assignments(behavior: Behavior, rng: np.random.Generator,
@@ -200,10 +196,10 @@ def shard_codes(config: ExperimentConfig, behavior: Behavior, *,
                 workers: int = 1) -> Iterator[np.ndarray]:
     """Each shard's outcome codes, in shard order.
 
-    Code k means setting behavior.settings[k // 4] and outcome
-    JOINT_OUTCOMES[k % 4]. The shards run on at most min(workers, shards,
-    CPUs) threads, with at most twice that many in flight, so memory is
-    bounded by shard size and CPU count, never by the trial count.
+    Code k is the k-th cell of behavior.cells(). The shards run on at most
+    min(workers, shards, CPUs) threads, with at most twice that many in
+    flight, so memory is bounded by shard size and CPU count, never by the
+    trial count.
     """
     if not behavior.is_full_grid():
         raise ValueError("experiment needs a behavior over a full 2x2 setting grid")
@@ -240,11 +236,12 @@ def _bounded_map(fn: Callable[[int], np.ndarray], n: int,
         pool.shutdown(cancel_futures=True)
 
 
-def code_table(settings: tuple[SettingPair, ...], counts: np.ndarray) -> FrequencyTable:
-    """The frequency table of 16 per-code counts."""
-    return FrequencyTable({settings[k]: {c: int(counts[4 * k + c.index])
-                                         for c in JOINT_OUTCOMES}
-                           for k in range(4)})
+def code_table(behavior: Behavior, counts: np.ndarray) -> FrequencyTable:
+    """The frequency table of per-code counts, code k being behavior.cells()'s k-th."""
+    table: dict[SettingPair, dict[JointOutcome, int]] = {}
+    for (setting, cell, _), n in zip(behavior.cells(), counts.tolist()):
+        table.setdefault(setting, {})[cell] = n
+    return FrequencyTable(table)
 
 
 def run_experiment(config: ExperimentConfig, behavior: Behavior, *,
@@ -258,8 +255,7 @@ def run_experiment(config: ExperimentConfig, behavior: Behavior, *,
     and, when collect_trials is set, the per-trial log.
     """
     shards = shard_codes(config, behavior, workers=workers)  # validates the grid
-    settings = behavior.settings
-    cells = [(settings[k // 4], JOINT_OUTCOMES[k % 4]) for k in range(16)]
+    cells = [(setting, cell) for setting, cell, _ in behavior.cells()]
     total = np.zeros(16, dtype=np.int64)
     records: list[TrialRecord] = []
     for codes in shards:
@@ -268,7 +264,7 @@ def run_experiment(config: ExperimentConfig, behavior: Behavior, *,
             start = len(records)
             records.extend(TrialRecord(start + i, *cells[code])
                            for i, code in enumerate(codes.tolist()))
-    return code_table(settings, total), (records if collect_trials else None)
+    return code_table(behavior, total), (records if collect_trials else None)
 
 
 # ===========================================================================

@@ -64,34 +64,21 @@ def deterministic_strategies() -> tuple[DeterministicStrategy, ...]:
     )
 
 
-def _strategy_matrix() -> np.ndarray:
-    """Column s holds strategy s's behavior, flattened in canonical cell order.
-
-    Row 4 * (2 * i + j) + k is cell k of setting (i, j), i and j picking the
-    first (0) or second (1) label; a full grid's settings sort that way.
-    """
-    v = np.zeros((16, 16))
-    for s, strat in enumerate(deterministic_strategies()):
-        for i in range(2):
-            for j in range(2):
-                v[4 * (2 * i + j) + strat.joint(i, j).index, s] = 1.0
-    return v
-
-
-_VERTICES = _strategy_matrix()
-# Per strategy, the four cells it picks, one per setting in canonical order.
-_STRATEGY_CELLS = np.nonzero(_VERTICES.T)[1].reshape(16, 4).tolist()
-_TIGHT_FIT = {"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10}
-
-
 def strategy_behavior(strategy: DeterministicStrategy,
                       left_labels: tuple[str, str] = ("1", "2"),
                       right_labels: tuple[str, str] = ("1", "2")) -> Behavior:
     """The 0/1 behavior a strategy produces over a 2x2 setting grid."""
-    column = _VERTICES[:, strategy.index]
     return Behavior({
-        SettingPair(lab_l, lab_r): dict(zip(JOINT_OUTCOMES, column[4 * k:4 * k + 4]))
-        for k, (lab_l, lab_r) in enumerate(product(left_labels, right_labels))})
+        SettingPair(lab_l, lab_r): {c: float(c is strategy.joint(i, j)) for c in JOINT_OUTCOMES}
+        for i, lab_l in enumerate(left_labels) for j, lab_r in enumerate(right_labels)})
+
+
+# Column s holds strategy s's behavior in the canonical flat cell order.
+_VERTICES = np.array([[p for _, _, p in strategy_behavior(strat).cells()]
+                      for strat in deterministic_strategies()]).T.copy()
+# Per strategy, the four cells it picks, one per setting in canonical order.
+_STRATEGY_CELLS = np.nonzero(_VERTICES.T)[1].reshape(16, 4).tolist()
+_TIGHT_FIT = {"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10}
 
 
 # ===========================================================================
@@ -155,15 +142,10 @@ class MembershipResult:
         }
 
 
-def _grid_cells(behavior: Behavior) -> list[tuple[SettingPair, JointOutcome]]:
+def _grid_cells(behavior: Behavior) -> list[tuple[SettingPair, JointOutcome, float]]:
     if not behavior.is_full_grid():
         raise ValueError("locality checks need a behavior over a full 2x2 setting grid")
-    return [(s, c) for s in behavior.settings for c in JOINT_OUTCOMES]
-
-
-def _behavior_vector(behavior: Behavior) -> np.ndarray:
-    return np.array([behavior.table[s][c]
-                     for s in behavior.settings for c in JOINT_OUTCOMES])
+    return list(behavior.cells())
 
 
 def _fit_weights(b: np.ndarray, options: dict | None = None) -> tuple[np.ndarray, float]:
@@ -197,7 +179,7 @@ def local_membership(behavior: Behavior) -> MembershipResult:
     misses FEAS_TOL.
     """
     cells = _grid_cells(behavior)
-    b = _behavior_vector(behavior)
+    b = np.array([p for _, _, p in cells])
     weights, residual = _fit_weights(b)
     if residual > FEAS_TOL:
         # max  f.b - t  s.t.  f.V_s <= t per strategy,  -1 <= f <= 1
@@ -211,7 +193,7 @@ def local_membership(behavior: Behavior) -> MembershipResult:
             det_max = float(np.max(_VERTICES.T @ f))
             if value - det_max >= WITNESS_TOL:
                 witness = WitnessCertificate(
-                    {cell: float(coef) for cell, coef in zip(cells, f)
+                    {(s, c): float(coef) for (s, c, _), coef in zip(cells, f)
                      if abs(coef) > 1e-12},
                     value, det_max)
                 return MembershipResult("infeasible", residual, witness=witness)
@@ -234,7 +216,6 @@ def noncontextual_fraction(behavior: Behavior) -> float:
     16 strategies, so this sums the product of the four cells each picks;
     it is the chance that one measurement-as-reveal run is factorizable.
     """
-    _grid_cells(behavior)  # validates the grid
     # plain floats: on 16 numbers numpy's per-call cost outweighs the work
-    b = [row[c] for row in behavior.table.values() for c in JOINT_OUTCOMES]
+    b = [p for _, _, p in _grid_cells(behavior)]
     return sum(b[i] * b[j] * b[k] * b[m] for i, j, k, m in _STRATEGY_CELLS)

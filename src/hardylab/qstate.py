@@ -294,7 +294,12 @@ class Behavior:
         return self.row(setting)[cell]
 
     def cells(self) -> Iterable[tuple[SettingPair, JointOutcome, float]]:
-        """All (setting, cell, probability) triples in canonical order."""
+        """All (setting, cell, probability) triples in the canonical flat order.
+
+        Settings come in canonical order, each with its cells in (RR, RG, GR,
+        GG) order. This is the one flat cell order: the LP's cell vector and
+        the sampler's outcome codes (code k is the k-th triple) both use it.
+        """
         for setting, row in self.table.items():
             for cell, p in row.items():
                 yield setting, cell, p
@@ -306,21 +311,14 @@ class Behavior:
     def no_signaling_residual(self) -> float:
         """Largest shift of a one-side marginal when the far setting changes."""
         worst = 0.0
-        for labels, side in ((self.left_labels, "left"), (self.right_labels, "right")):
-            for label in labels:
-                group = [s for s in self.settings
-                         if (s.left if side == "left" else s.right) == label]
-                margs = []
-                for s in group:
-                    row = self.table[s]
-                    if side == "left":
-                        margs.append([row[JointOutcome.RR] + row[JointOutcome.RG],
-                                      row[JointOutcome.GR] + row[JointOutcome.GG]])
-                    else:
-                        margs.append([row[JointOutcome.RR] + row[JointOutcome.GR],
-                                      row[JointOutcome.RG] + row[JointOutcome.GG]])
-                for m in margs[1:]:
-                    worst = max(worst, abs(m[0] - margs[0][0]), abs(m[1] - margs[0][1]))
+        for side in ("left", "right"):
+            # each label's marginals are compared with its first setting's
+            first: dict[BasisLabel, list[float]] = {}
+            for setting, row in self.table.items():
+                marg = [sum(p for cell, p in row.items() if getattr(cell, side) is o)
+                        for o in OUTCOMES]
+                ref = first.setdefault(getattr(setting, side), marg)
+                worst = max(worst, abs(marg[0] - ref[0]), abs(marg[1] - ref[1]))
         return worst
 
 
@@ -361,24 +359,19 @@ def rebase_state_to(state: TwoQubitState, setting: SettingPair,
 def quantum_behavior(state: TwoQubitState, change: BasisChange) -> Behavior:
     """Probability rows for all four setting pairs reachable with one change.
 
-    The state must be given with both sides in the change's from basis. The
-    result covers {from,to} x {from,to} and is checked for no-signaling.
+    The state must be given with both sides in the change's from basis, and
+    the change must lead to another label. The result covers {from,to} x
+    {from,to} and is checked for no-signaling.
     """
     if state.left_basis != change.from_basis or state.right_basis != change.from_basis:
         raise ValueError(
             f"state bases ({state.left_basis!r},{state.right_basis!r}) must both match "
             f"the change's from basis {change.from_basis!r}")
+    if change.to_basis == change.from_basis:
+        raise ValueError(f"basis change maps {change.from_basis!r} to itself")
     labels = (change.from_basis, change.to_basis)
-    table: dict[SettingPair, dict[JointOutcome, float]] = {}
-    for lab_l in labels:
-        for lab_r in labels:
-            rebased = rebasis(
-                state,
-                left=change if lab_l == change.to_basis else None,
-                right=change if lab_r == change.to_basis else None,
-            )
-            table[SettingPair(lab_l, lab_r)] = born_table(rebased)
-    behavior = Behavior(table)
+    settings = [SettingPair(lab_l, lab_r) for lab_l in labels for lab_r in labels]
+    behavior = Behavior({s: born_table(rebase_state_to(state, s, [change])) for s in settings})
     residual = behavior.no_signaling_residual()
     if residual > 100 * EQ_TOL:
         raise ValueError(f"no-signaling violated with residual {residual:.3e}")

@@ -61,27 +61,30 @@ def enumerate_preexisting(state: TwoQubitState) -> list[PreexistingCandidate]:
     return out
 
 
+def same_candidates(first: Sequence[PreexistingCandidate],
+                    second: Sequence[PreexistingCandidate]) -> bool:
+    """True when both lists hold the same cells, probabilities within CANDIDATE_TOL."""
+    a = {c.state.joint: c.probability for c in first}
+    b = {c.state.joint: c.probability for c in second}
+    return a.keys() == b.keys() and all(abs(a[k] - b[k]) <= CANDIDATE_TOL for k in a)
+
+
 def distinguish_states(first: TwoQubitState, second: TwoQubitState,
                        settings: Sequence[SettingPair],
                        changes: Iterable[BasisChange]) -> dict[SettingPair, bool]:
     """Per setting pair: do the two states offer identical candidate sets?
 
-    Candidate sets count as identical when the same cells appear with
-    probabilities matching within CANDIDATE_TOL. The returned map holds True
-    where the states are indistinguishable by revealed outcomes.
+    The returned map holds True where same_candidates holds for the two
+    states rebased to that pair, i.e. where the states are indistinguishable
+    by revealed outcomes.
     """
     pool = list(changes)
     report: dict[SettingPair, bool] = {}
     for setting in settings:
         setting = SettingPair(*setting)
-        tables = []
-        for st in (first, second):
-            rebased = rebase_state_to(st, setting, pool)
-            tables.append({c.state.joint: c.probability
-                           for c in enumerate_preexisting(rebased)})
-        a, b = tables
-        same = set(a) == set(b) and all(abs(a[k] - b[k]) <= CANDIDATE_TOL for k in a)
-        report[setting] = same
+        report[setting] = same_candidates(
+            enumerate_preexisting(rebase_state_to(first, setting, pool)),
+            enumerate_preexisting(rebase_state_to(second, setting, pool)))
     return report
 
 

@@ -6,13 +6,16 @@ Test names follow test_<NN>_<slug>; conftest.py turns each outcome into an
 from __future__ import annotations
 
 import math
+import os
 import subprocess
 import sys
 import time
 from itertools import product
+from pathlib import Path
 
 import numpy as np
 
+import hardylab
 import oracles
 from hardylab.experiment import (
     ExperimentConfig,
@@ -209,9 +212,13 @@ def test_09_byte_stable_cli():
     """Repeat seeded CLI runs emit identical bytes for any worker count."""
     args = [sys.executable, "-m", "hardylab", "simulate", "--trials", "100000",
             "--seed", "42", "--model", "realist", "--format", "json"]
-    first = subprocess.run(args, capture_output=True)
-    second = subprocess.run(args, capture_output=True)
-    multi = subprocess.run(args + ["--workers", "3"], capture_output=True)
+    # the child runs the package under test, whether installed or not
+    src = str(Path(hardylab.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    first = subprocess.run(args, capture_output=True, env=env)
+    second = subprocess.run(args, capture_output=True, env=env)
+    multi = subprocess.run(args + ["--workers", "3"], capture_output=True, env=env)
     assert first.returncode == second.returncode == multi.returncode == 0
     assert first.stdout
     assert first.stdout == second.stdout == multi.stdout

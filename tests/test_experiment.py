@@ -15,6 +15,7 @@ from hardylab.experiment import (
     CHI2_LIMIT_1E6,
     ExperimentConfig,
     FrequencyTable,
+    code_table,
     compare_tables,
     run_experiment,
     sample_assignments,
@@ -360,6 +361,14 @@ class TestFrequencyTable:
         merged = a.merge(b)
         assert merged.count(SettingPair("1", "1"), JointOutcome.RR) == 5
         assert merged.count(SettingPair("1", "1"), JointOutcome.GG) == 1
+
+    def test_code_table_reads_codes_in_cell_order(self):
+        """Code k counts the k-th (setting, cell) of Behavior.cells()."""
+        behavior = quantum_behavior(phi_plus(), zx_change())
+        freq = code_table(behavior, np.arange(16, dtype=np.int64) * 3)
+        cells = [(s, c) for s in SPIN_SETTINGS for c in JOINT_OUTCOMES]
+        assert [freq.count(s, c) for s, c in cells] == [3 * k for k in range(16)]
+        assert all(type(freq.count(s, c)) is int for s, c in cells)
 
     def test_frequency_of_empty_setting_is_zero(self):
         freq = FrequencyTable({SettingPair("1", "1"): {}})

@@ -1,5 +1,6 @@
 """Pinned output bytes: `simulate`'s --log CSV and JSON stdout, and the
-stdout of `interpret`, `tables` and `mixture-compare` in every format.
+stdout of `interpret`, `tables`, `check-local` and `mixture-compare` in
+every format.
 
 The `simulate` digests were recorded from the per-trial csv.writer log before
 it was streamed shard by shard; any change to the sampler's draw order, the
@@ -10,13 +11,16 @@ from __future__ import annotations
 import csv
 import hashlib
 import io
+import json
 
 import numpy as np
 import pytest
 
+import oracles
 from hardylab.cli import _log_rows, _write_trial_log, main
 from hardylab.experiment import ExperimentConfig, run_experiment
 from hardylab.qstate import JOINT_OUTCOMES, Behavior, SettingPair, hardy_behavior
+from test_locality import NEAR_VERTEX_ROWS
 
 SEEDS = (7, 12345678901234567890)
 TRIALS = (1, 65535, 65536, 65537)  # below, at and past the default shard size
@@ -287,6 +291,56 @@ def test_interpret_bytes_are_pinned(capsys, state, basis, against):
 def test_stdout_bytes_are_pinned(capsys, command, fmt):
     assert main([command, "--format", fmt]) == 0
     assert sha256(capsys.readouterr().out.encode()) == STDOUT_DIGESTS[command, fmt]
+
+
+# ===========================================================================
+# stdout of check-local
+# ===========================================================================
+
+UNIFORM_ROWS = {s: {c: 0.25 for c in oracles.JOINT} for s in oracles.SETTINGS}
+
+# Behavior files for check-local, in the CLI's schema. The Hardy rows come
+# from the sympy oracle; the signaling behavior is uniform except that (1,1)
+# always gives RR, so the left marginal of label 1 moves with the right label.
+CHECK_LOCAL_FILES = {
+    "hardy": {s: {c: float(p) for c, p in row.items()}
+              for s, row in oracles.hardy_behavior().items()},
+    "uniform": UNIFORM_ROWS,
+    "near-vertex": {s: dict(zip(oracles.JOINT, NEAR_VERTEX_ROWS[4 * k:4 * k + 4]))
+                    for k, s in enumerate(oracles.SETTINGS)},
+    "signaling": {**UNIFORM_ROWS, "11": {"RR": 1.0, "RG": 0.0, "GR": 0.0, "GG": 0.0}},
+}
+
+# name -> (exit code, sha256 of text stdout, sha256 of --format json stdout),
+# recorded before quantum_behavior and the flat cell order were rebuilt.
+CHECK_LOCAL_DIGESTS = {
+    "hardy": (
+        2,
+        "91a8b96dc7515e984fcc3b7020a1513735811736ca636d43260326ff51f69693",
+        "89b653e3863eeb253f51e203899ca65e8aa33ef45a27d698c862855147316d3d"),
+    "uniform": (
+        0,
+        "ab0202cc3bbb464bbb057274d377500953f99db417fec4b0e6dc8bcec36b3ce2",
+        "2e829811d4703d0f63751b0506c741b03e49f703ae2db2a52844dfccdee673e9"),
+    "near-vertex": (
+        0,
+        "edfa30fc779ba2ad17bc4d6518791a57647f11087e3d3986d404d1905afe8e9e",
+        "cd7f997f2f966922ed41f32c2f11d30cbf91b36e54eec25b800203e40e538da8"),
+    "signaling": (
+        2,
+        "d92d63ad7eb21f1579ed269c3a6fc6ca3982f74b06739e7d536fe0d143d37cfc",
+        "9894b213ced7db6d266503454afec6fe1a7ce2434500aef36d639b999362ff2e"),
+}
+
+
+@pytest.mark.parametrize("name", list(CHECK_LOCAL_FILES))
+def test_check_local_bytes_are_pinned(capsys, tmp_path, name):
+    path = tmp_path / "behavior.json"
+    path.write_text(json.dumps(CHECK_LOCAL_FILES[name]))
+    code, *digests = CHECK_LOCAL_DIGESTS[name]
+    for fmt, digest in zip(("text", "json"), digests):
+        assert main(["check-local", "--behavior", str(path), "--format", fmt]) == code
+        assert sha256(capsys.readouterr().out.encode()) == digest
 
 
 # ===========================================================================

@@ -257,6 +257,14 @@ class TestQuantumBehavior:
         assert minus[JointOutcome.RR] == 0.0
         assert minus[JointOutcome.GG] == 0.0
 
+    def test_change_to_its_own_label_is_rejected(self):
+        """A rotation from "1" to "1" has no second label to put its rows under."""
+        t = 0.3
+        change = BasisChange("1", "1", np.array([[math.cos(t), -math.sin(t)],
+                                                 [math.sin(t), math.cos(t)]]))
+        with pytest.raises(ValueError, match="'1' to itself"):
+            quantum_behavior(hardy_state(), change)
+
     def test_mixed_spin_basis_rows_are_uniform(self):
         beh = quantum_behavior(phi_plus(), zx_change())
         for key in ("zx", "xz"):
@@ -300,6 +308,14 @@ class TestBehaviorValidation:
         beh = Behavior(table)
         assert [s.key for s in beh.settings] == ["11", "12", "21", "22"]
 
+    def test_cells_are_setting_major(self):
+        """The flat cell order: settings in canonical order, then RR, RG, GR, GG."""
+        flat = [(s.key, c.value, p) for s, c, p in hardy_behavior().cells()]
+        assert [(s, c) for s, c, _ in flat] == [
+            (s, c) for s in oracles.SETTINGS for c in oracles.JOINT]
+        assert [p for _, _, p in flat] == pytest.approx(
+            [HARDY_ROWS[s][c] for s, c, _ in flat], abs=1e-12)
+
     def test_unknown_setting_lookup_fails(self):
         with pytest.raises(ValueError, match="no setting"):
             hardy_behavior().row(SettingPair("3", "1"))
@@ -310,6 +326,52 @@ class TestBehaviorValidation:
             JointOutcome.RR: 1.0, JointOutcome.RG: 0.0,
             JointOutcome.GR: 0.0, JointOutcome.GG: 0.0}
         assert Behavior(table).no_signaling_residual() >= 0.5
+
+
+# Rows over settings 11, 12, 13, 21 and 33, not a full grid. Left label 1
+# gives P(R) 0.5, 0.75, 0.25 in setting order; right label 1 moves by 0.375
+# and right label 3 by 0.125.
+NON_GRID_ROWS = {
+    "11": (0.25, 0.25, 0.25, 0.25),
+    "12": (0.5, 0.25, 0.125, 0.125),
+    "13": (0.125, 0.125, 0.5, 0.25),
+    "21": (0.125, 0.5, 0.0, 0.375),
+    "33": (0.25, 0.25, 0.25, 0.25),
+}
+NON_GRID_RESIDUAL = 0.375  # recorded from the two-branch marginal code
+
+
+def behavior_of(rows: dict[str, dict[str, float]]) -> Behavior:
+    return Behavior({SettingPair(*key): {JointOutcome(c): p for c, p in row.items()}
+                     for key, row in rows.items()})
+
+
+class TestNoSignalingResidual:
+    """Exact agreement with the oracle's marginal shifts, float for float."""
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_independent_rows_match_oracle(self, seed):
+        rng = np.random.default_rng(seed)
+        rows = {s: dict(zip(oracles.JOINT, rng.dirichlet(np.ones(4)).tolist()))
+                for s in oracles.SETTINGS}
+        residual = behavior_of(rows).no_signaling_residual()
+        assert residual == oracles.signaling_residual(rows)
+        assert residual > 0.0
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_quantum_rows_match_oracle(self, seed):
+        rng = np.random.default_rng(seed)
+        t = rng.uniform(0.0, 2.0 * math.pi)
+        change = BasisChange("1", "2", np.array([[math.cos(t), -math.sin(t)],
+                                                 [math.sin(t), math.cos(t)]]))
+        amps = rng.normal(size=4)
+        behavior = quantum_behavior(make_state("1", "1", amps / np.linalg.norm(amps)), change)
+        assert behavior.no_signaling_residual() == oracles.signaling_residual(
+            rows_of(behavior))
+
+    def test_non_grid_residual_is_pinned(self):
+        rows = {key: dict(zip(oracles.JOINT, row)) for key, row in NON_GRID_ROWS.items()}
+        assert behavior_of(rows).no_signaling_residual() == NON_GRID_RESIDUAL
 
 
 # ===========================================================================

@@ -22,11 +22,14 @@ from hardylab.qstate import (
     zx_change,
 )
 from hardylab.realist import (
+    CANDIDATE_TOL,
     ContextAssignment,
+    PreexistingCandidate,
     distinguish_states,
     enumerate_preexisting,
     is_noncontextual,
     reveal,
+    same_candidates,
 )
 
 HARDY_SETTINGS = tuple(SettingPair(l, r) for l in "12" for r in "12")
@@ -72,6 +75,30 @@ class TestEnumeratePreexisting:
     def test_candidates_carry_basis_labels(self):
         for cand in enumerate_preexisting(hardy_state()):
             assert (cand.state.left_basis, cand.state.right_basis) == ("1", "1")
+
+
+def candidates(**probs: float) -> list[PreexistingCandidate]:
+    return [PreexistingCandidate(ProductState("z", "z", Outcome(k[0]), Outcome(k[1])), p)
+            for k, p in probs.items()]
+
+
+class TestSameCandidates:
+    def test_order_does_not_matter(self):
+        assert same_candidates(candidates(RR=0.5, GG=0.5), candidates(GG=0.5, RR=0.5))
+
+    def test_probabilities_match_within_tolerance(self):
+        shifted = 0.5 + CANDIDATE_TOL / 2
+        assert same_candidates(candidates(RR=0.5, GG=0.5),
+                               candidates(RR=shifted, GG=1.0 - shifted))
+        assert not same_candidates(candidates(RR=0.5, GG=0.5),
+                                   candidates(RR=0.5 + 2 * CANDIDATE_TOL, GG=0.5))
+
+    def test_different_cells_differ(self):
+        assert not same_candidates(candidates(RR=0.5, GG=0.5), candidates(RG=0.5, GR=0.5))
+        assert not same_candidates(candidates(RR=1.0), candidates(RR=1.0, GG=0.0))
+
+    def test_empty_lists_match(self):
+        assert same_candidates([], [])
 
 
 class TestDistinguishStates:
