@@ -465,6 +465,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (OSError, ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except ModuleNotFoundError as exc:
+        # scipy is imported on check-local's first LP, not at start-up
+        print(f"error: {args.command} could not import {exc.name}: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

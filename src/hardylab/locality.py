@@ -4,6 +4,9 @@ A behavior is Bell-local when it is a convex mixture of the 16 deterministic
 per-side strategies. Membership is decided by linear programming; a negative
 verdict always comes with a separating witness certificate whose value on
 the input exceeds its maximum over all deterministic strategies.
+
+scipy is imported by the two LP calls, not here, so that the tables, the
+sampler and the closed-form checks never load it.
 """
 from __future__ import annotations
 
@@ -11,7 +14,6 @@ from dataclasses import dataclass
 from itertools import product
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .qstate import (
     JOINT_OUTCOMES,
@@ -150,6 +152,8 @@ def _grid_cells(behavior: Behavior) -> list[tuple[SettingPair, JointOutcome, flo
 
 def _fit_weights(b: np.ndarray, options: dict | None = None) -> tuple[np.ndarray, float]:
     """Mixing weights minimizing the largest cell mismatch, and that mismatch."""
+    from scipy.optimize import linprog
+
     # min eps  s.t.  |V w - b| <= eps per cell,  w >= 0,  sum w = 1
     c = np.zeros(17)
     c[16] = 1.0
@@ -182,6 +186,8 @@ def local_membership(behavior: Behavior) -> MembershipResult:
     b = np.array([p for _, _, p in cells])
     weights, residual = _fit_weights(b)
     if residual > FEAS_TOL:
+        from scipy.optimize import linprog
+
         # max  f.b - t  s.t.  f.V_s <= t per strategy,  -1 <= f <= 1
         c2 = np.concatenate([-b, [1.0]])
         a_ub2 = np.hstack([_VERTICES.T, -np.ones((16, 1))])

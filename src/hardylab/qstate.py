@@ -312,13 +312,15 @@ class Behavior:
         """Largest shift of a one-side marginal when the far setting changes."""
         worst = 0.0
         for side in ("left", "right"):
-            # each label's marginals are compared with its first setting's
-            first: dict[BasisLabel, list[float]] = {}
+            # each label's marginals over all the settings that hold it
+            margs: dict[BasisLabel, list[list[float]]] = {}
             for setting, row in self.table.items():
-                marg = [sum(p for cell, p in row.items() if getattr(cell, side) is o)
-                        for o in OUTCOMES]
-                ref = first.setdefault(getattr(setting, side), marg)
-                worst = max(worst, abs(marg[0] - ref[0]), abs(marg[1] - ref[1]))
+                margs.setdefault(getattr(setting, side), []).append(
+                    [sum(p for cell, p in row.items() if getattr(cell, side) is o)
+                     for o in OUTCOMES])
+            for per_setting in margs.values():
+                for column in zip(*per_setting):
+                    worst = max(worst, max(column) - min(column))
         return worst
 
 

@@ -282,6 +282,22 @@ KERNEL_BEHAVIORS = {
 ONE_SETTING = Behavior({SettingPair("1", "1"): dict(zip(JOINT_OUTCOMES, (0.5, 0.0, 0.2, 0.3)))})
 
 
+def same_rows(cells: tuple[float, ...]) -> Behavior:
+    return Behavior({SettingPair(a, b): dict(zip(JOINT_OUTCOMES, cells))
+                     for a in "12" for b in "12"})
+
+
+class FixedUniforms:
+    """Stands in for a Generator whose random(shape) returns given values."""
+
+    def __init__(self, values: list[list[float]]):
+        self.values = np.array(values)
+
+    def random(self, shape):
+        assert shape == self.values.shape
+        return self.values.copy()
+
+
 class TestShardKernel:
     @pytest.mark.parametrize("k", [0, 1, 5, 63])
     def test_keyed_seed_equals_spawned_child(self, k):
@@ -325,6 +341,16 @@ class TestShardKernel:
         assert assignments.shape == (n, len(behavior.settings))
         assert assignments.tolist() == [[bisect.bisect_right(b, u) for b, u in zip(bounds, row)]
                                         for row in draws]
+
+    @pytest.mark.parametrize("cells, draws, expected", [
+        ((0.25,) * 4, [0.25, 0.5, 0.75], [1, 2, 3]),
+        ((0.0, 0.5, 0.25, 0.25), [0.0], [1]),  # a zero-width cell is never chosen
+    ])
+    def test_draw_on_a_boundary_takes_the_next_cell(self, cells, draws, expected):
+        """A uniform equal to a boundary counts it as passed, as bisect_right does."""
+        rng = FixedUniforms([[u] * 4 for u in draws])
+        assignments = sample_assignments(same_rows(cells), rng, len(draws))
+        assert assignments.tolist() == [[k] * 4 for k in expected]
 
     def test_first_shard_of_huge_run_allocates_only_a_shard(self):
         """Shard seeds are built as shards run, not all before the first."""

@@ -1,0 +1,111 @@
+"""Which subcommands load scipy: only check-local's LP does.
+
+Each case runs in a fresh interpreter, so sys.modules shows exactly what one
+invocation imported. No case measures time.
+"""
+from __future__ import annotations
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import hardylab
+from hardylab.cli import behavior_to_jsonable
+from hardylab.qstate import hardy_behavior
+
+# Runs cli.main on argv with stdout captured, then prints one JSON line:
+# [exit code, whether scipy is in sys.modules].
+MAIN_PROBE = """
+import contextlib, io, json, sys
+from hardylab.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    code = main(sys.argv[1:])
+print(json.dumps([code, "scipy" in sys.modules]))
+"""
+
+# Runs cli.main on argv in an interpreter where importing scipy fails.
+NO_SCIPY = """
+import sys
+sys.modules["scipy"] = None
+from hardylab.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+def run_python(code: str, *argv: str) -> subprocess.CompletedProcess:
+    # the child imports the package under test, whether installed or not
+    src = str(Path(hardylab.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-c", code, *argv], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": path})
+
+
+def probe_main(*argv: str) -> tuple[int, bool]:
+    proc = run_python(MAIN_PROBE, *argv)
+    assert proc.returncode == 0, proc.stderr
+    code, scipy_loaded = json.loads(proc.stdout)
+    return code, scipy_loaded
+
+
+@pytest.fixture
+def hardy_file(tmp_path) -> str:
+    path = tmp_path / "hardy.json"
+    path.write_text(json.dumps(behavior_to_jsonable(hardy_behavior())), encoding="utf-8")
+    return str(path)
+
+
+@pytest.mark.parametrize("argv", [
+    ("tables",),
+    ("simulate", "--trials", "1000", "--seed", "5"),
+    ("interpret", "--state", "hardy", "--basis", "22", "--against", "hardy"),
+    ("mixture-compare",),
+], ids=lambda argv: argv[0])
+def test_subcommand_without_lp_loads_no_scipy(argv):
+    assert probe_main(*argv) == (0, False)
+
+
+def test_simulate_with_log_loads_no_scipy(tmp_path):
+    log = tmp_path / "trials.csv"
+    assert probe_main("simulate", "--trials", "1000", "--seed", "5",
+                      "--log", str(log)) == (0, False)
+    assert log.stat().st_size > 0
+
+
+def test_check_local_loads_scipy(hardy_file):
+    assert probe_main("check-local", "--behavior", hardy_file) == (2, True)
+
+
+def test_locality_closed_forms_load_no_scipy():
+    proc = run_python(
+        "import json, sys\n"
+        "from hardylab.locality import (FEAS_TOL, HARDY_SETTINGS, WITNESS_TOL,\n"
+        "                               hardy_witness, noncontextual_fraction)\n"
+        "from hardylab.qstate import hardy_behavior\n"
+        "b = hardy_behavior()\n"
+        "print(json.dumps([noncontextual_fraction(b), hardy_witness(b),"
+        " 'scipy' in sys.modules]))")
+    assert proc.returncode == 0, proc.stderr
+    fraction, witness, scipy_loaded = json.loads(proc.stdout)
+    assert fraction == pytest.approx(6233 / 51200, abs=1e-12)
+    assert witness == pytest.approx(0.09, abs=1e-12)
+    assert scipy_loaded is False
+
+
+class TestWithoutScipy:
+    def test_check_local_prints_one_error_line(self, hardy_file):
+        proc = run_python(NO_SCIPY, "check-local", "--behavior", hardy_file)
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("error: ")
+        assert "scipy" in lines[0]
+
+    def test_tables_still_runs(self):
+        proc = run_python(NO_SCIPY, "tables")
+        assert proc.returncode == 0, proc.stderr
+        assert "setting (2,2)" in proc.stdout

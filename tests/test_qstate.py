@@ -329,8 +329,8 @@ class TestBehaviorValidation:
 
 
 # Rows over settings 11, 12, 13, 21 and 33, not a full grid. Left label 1
-# gives P(R) 0.5, 0.75, 0.25 in setting order; right label 1 moves by 0.375
-# and right label 3 by 0.125.
+# gives P(R) 0.5, 0.75, 0.25 in setting order, a largest shift of 0.5 (13
+# against 12); right label 1 moves by 0.375 and right label 3 by 0.125.
 NON_GRID_ROWS = {
     "11": (0.25, 0.25, 0.25, 0.25),
     "12": (0.5, 0.25, 0.125, 0.125),
@@ -338,12 +338,22 @@ NON_GRID_ROWS = {
     "21": (0.125, 0.5, 0.0, 0.375),
     "33": (0.25, 0.25, 0.25, 0.25),
 }
-NON_GRID_RESIDUAL = 0.375  # recorded from the two-branch marginal code
+NON_GRID_RESIDUAL = 0.5  # max - min of left label 1's P(R) over its three settings
 
 
 def behavior_of(rows: dict[str, dict[str, float]]) -> Behavior:
     return Behavior({SettingPair(*key): {JointOutcome(c): p for c, p in row.items()}
                      for key, row in rows.items()})
+
+
+def all_pairs_residual(rows: dict[str, dict[str, float]]) -> float:
+    """Largest marginal shift over every pair of settings sharing a label."""
+    def marginal(key: str, side: int, o: str) -> float:
+        return sum(p for c, p in rows[key].items() if c[side] == o)
+
+    return max([abs(marginal(a, side, o) - marginal(b, side, o))
+                for side in (0, 1) for a in rows for b in rows
+                if a[side] == b[side] for o in "RG"])
 
 
 class TestNoSignalingResidual:
@@ -372,6 +382,15 @@ class TestNoSignalingResidual:
     def test_non_grid_residual_is_pinned(self):
         rows = {key: dict(zip(oracles.JOINT, row)) for key, row in NON_GRID_ROWS.items()}
         assert behavior_of(rows).no_signaling_residual() == NON_GRID_RESIDUAL
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_non_grid_rows_match_all_pairs(self, seed):
+        rng = np.random.default_rng(seed)
+        keys = [l + r for l in "123" for r in "123"]
+        chosen = rng.choice(keys, size=rng.integers(3, len(keys) + 1), replace=False)
+        rows = {str(key): dict(zip(oracles.JOINT, rng.dirichlet(np.ones(4)).tolist()))
+                for key in chosen}
+        assert behavior_of(rows).no_signaling_residual() == all_pairs_residual(rows)
 
 
 # ===========================================================================
