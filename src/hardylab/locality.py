@@ -5,13 +5,19 @@ per-side strategies. Membership is decided by linear programming; a negative
 verdict always comes with a separating witness certificate whose value on
 the input exceeds its maximum over all deterministic strategies.
 
-scipy is imported by the two LP calls, not here, so that the tables, the
-sampler and the closed-form checks never load it.
+The two LPs call the HiGHS bindings that scipy ships
+(`scipy.optimize._highspy._core`, where `linprog(method="highs")` ends up),
+with the options `linprog` passes; their constraint matrices, bounds and
+options are built once, and each solve gets a fresh solver. scipy is
+imported on the first solve, not here, so that the tables, the sampler and
+the closed-form checks never load it.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from itertools import product
+from typing import Any
 
 import numpy as np
 
@@ -80,7 +86,6 @@ _VERTICES = np.array([[p for _, _, p in strategy_behavior(strat).cells()]
                       for strat in deterministic_strategies()]).T.copy()
 # Per strategy, the four cells it picks, one per setting in canonical order.
 _STRATEGY_CELLS = np.nonzero(_VERTICES.T)[1].reshape(16, 4).tolist()
-_TIGHT_FIT = {"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10}
 
 
 # ===========================================================================
@@ -150,22 +155,83 @@ def _grid_cells(behavior: Behavior) -> list[tuple[SettingPair, JointOutcome, flo
     return list(behavior.cells())
 
 
-def _fit_weights(b: np.ndarray, options: dict | None = None) -> tuple[np.ndarray, float]:
-    """Mixing weights minimizing the largest cell mismatch, and that mismatch."""
-    from scipy.optimize import linprog
+class _Program:
+    """One LP of fixed shape for HiGHS: min c.x s.t. row_lower <= A x <= row_upper
+    and col_lower <= x <= col_upper, with A a CSC array. `fixed` holds each
+    HighsLp vector that is the same for every behavior."""
 
-    # min eps  s.t.  |V w - b| <= eps per cell,  w >= 0,  sum w = 1
-    c = np.zeros(17)
-    c[16] = 1.0
+    def __init__(self, core, a, **fixed: np.ndarray) -> None:
+        self.core = core  # scipy.optimize._highspy._core
+        self.a = a
+        self.fixed = fixed
+
+    def solve(self, options, **vectors: np.ndarray) -> tuple[np.ndarray | None, str]:
+        """Solve on a fresh HiGHS instance: x if optimal, and the model status."""
+        core = self.core
+        lp = core.HighsLp()
+        lp.num_row_, lp.num_col_ = self.a.shape
+        lp.a_matrix_.num_row_, lp.a_matrix_.num_col_ = self.a.shape
+        lp.a_matrix_.format_ = core.MatrixFormat.kColwise
+        lp.a_matrix_.start_ = self.a.indptr
+        lp.a_matrix_.index_ = self.a.indices
+        lp.a_matrix_.value_ = self.a.data
+        for name, value in {**self.fixed, **vectors}.items():
+            setattr(lp, name, value)
+        solver = core._Highs()
+        solver.passOptions(options)
+        solver.passModel(lp)
+        solver.run()
+        status = solver.getModelStatus()
+        optimal = status == core.HighsModelStatus.kOptimal
+        x = np.array(solver.getSolution().col_value) if optimal else None
+        return x, solver.modelStatusToString(status)
+
+
+@dataclass(frozen=True)
+class _HighsLPs:
+    fit: _Program       # min eps  s.t.  |V w - b| <= eps per cell,  w >= 0,  sum w = 1
+    separate: _Program  # max f.b - t  s.t.  f.V_s <= t per strategy,  -1 <= f <= 1
+    options: Any        # HighsOptions as linprog(method="highs") sets them
+    tight: Any          # the same with 1e-10 primal and dual feasibility tolerances
+
+
+@cache
+def _highs() -> _HighsLPs:
+    """scipy's HiGHS bindings and both LPs' fixed parts, built on the first solve."""
+    from scipy.optimize._highspy import _core as core
+    from scipy.sparse import csc_array
+
+    def options(**extra: float):
+        # linprog(method="highs")'s settings; simplex strategy 1 is the dual simplex
+        opts = core.HighsOptions()
+        for name, value in {"presolve": "on", "highs_debug_level": 0,
+                            "log_to_console": False, "output_flag": False,
+                            "simplex_strategy": 1, **extra}.items():
+            setattr(opts, name, value)
+        return opts
+
+    inf = core.kHighsInf
     neg = -np.ones((16, 1))
-    a_ub = np.block([[_VERTICES, neg], [-_VERTICES, neg]])
-    b_ub = np.concatenate([b, -b])
-    a_eq = np.concatenate([np.ones(16), [0.0]]).reshape(1, -1)
-    fit = linprog(c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=[1.0],
-                  bounds=[(0, None)] * 17, method="highs", options=options)
-    if not fit.success:
-        raise RuntimeError(f"membership LP did not solve: {fit.message}")
-    weights = np.clip(fit.x[:16], 0.0, None)
+    fit = _Program(core, csc_array(np.block([[_VERTICES, neg], [-_VERTICES, neg],
+                                             [np.ones((1, 16)), np.zeros((1, 1))]])),
+                   col_cost_=np.concatenate([np.zeros(16), [1.0]]),
+                   col_lower_=np.zeros(17), col_upper_=np.full(17, inf),
+                   row_lower_=np.concatenate([np.full(32, -inf), [1.0]]))
+    separate = _Program(core, csc_array(np.hstack([_VERTICES.T, neg])),
+                        col_lower_=np.concatenate([-np.ones(16), [-inf]]),
+                        col_upper_=np.concatenate([np.ones(16), [inf]]),
+                        row_lower_=np.full(16, -inf), row_upper_=np.zeros(16))
+    return _HighsLPs(fit, separate, options(),
+                     options(primal_feasibility_tolerance=1e-10,
+                             dual_feasibility_tolerance=1e-10))
+
+
+def _fit_weights(b: np.ndarray, options) -> tuple[np.ndarray, float]:
+    """Mixing weights minimizing the largest cell mismatch, and that mismatch."""
+    x, status = _highs().fit.solve(options, row_upper_=np.concatenate([b, -b, [1.0]]))
+    if x is None:
+        raise RuntimeError(f"membership LP did not solve: {status}")
+    weights = np.clip(x[:16], 0.0, None)
     weights /= weights.sum()
     return weights, float(np.max(np.abs(_VERTICES @ weights - b)))
 
@@ -184,17 +250,12 @@ def local_membership(behavior: Behavior) -> MembershipResult:
     """
     cells = _grid_cells(behavior)
     b = np.array([p for _, _, p in cells])
-    weights, residual = _fit_weights(b)
+    lps = _highs()
+    weights, residual = _fit_weights(b, lps.options)
     if residual > FEAS_TOL:
-        from scipy.optimize import linprog
-
-        # max  f.b - t  s.t.  f.V_s <= t per strategy,  -1 <= f <= 1
-        c2 = np.concatenate([-b, [1.0]])
-        a_ub2 = np.hstack([_VERTICES.T, -np.ones((16, 1))])
-        sep = linprog(c2, A_ub=a_ub2, b_ub=np.zeros(16),
-                      bounds=[(-1, 1)] * 16 + [(None, None)], method="highs")
-        if sep.success:
-            f = sep.x[:16]
+        x, _ = lps.separate.solve(lps.options, col_cost_=np.concatenate([-b, [1.0]]))
+        if x is not None:
+            f = x[:16]
             value = float(f @ b)
             det_max = float(np.max(_VERTICES.T @ f))
             if value - det_max >= WITNESS_TOL:
@@ -203,7 +264,7 @@ def local_membership(behavior: Behavior) -> MembershipResult:
                      if abs(coef) > 1e-12},
                     value, det_max)
                 return MembershipResult("infeasible", residual, witness=witness)
-        weights, residual = _fit_weights(b, _TIGHT_FIT)
+        weights, residual = _fit_weights(b, lps.tight)
         if residual > FEAS_TOL:
             raise RuntimeError(
                 f"behavior sits {residual:.3e} outside the local polytope but no "

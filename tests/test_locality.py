@@ -2,14 +2,18 @@
 from __future__ import annotations
 
 import json
+import math
 from itertools import product
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import linprog
+from scipy.optimize._highspy import _core as highs
 
 import oracles
+from hardylab import locality
 from hardylab.cli import main
 from hardylab.locality import (
     FEAS_TOL,
@@ -25,11 +29,14 @@ from hardylab.locality import (
 from hardylab.experiment import ExperimentConfig, run_experiment, sample_assignments
 from hardylab.qstate import (
     JOINT_OUTCOMES,
+    BasisChange,
     Behavior,
     JointOutcome,
     Outcome,
     SettingPair,
     hardy_behavior,
+    make_state,
+    quantum_behavior,
 )
 from hardylab.realist import ContextAssignment, is_noncontextual
 
@@ -237,6 +244,110 @@ class TestLocalMembership:
             setting, _, cell = key.partition(":")
             assert setting in {"11", "12", "21", "22"}
             assert cell in {"RR", "RG", "GR", "GG"}
+
+    def test_solves_are_independent(self):
+        """Each LP runs on a fresh solver: no basis carries over between calls."""
+        a = mixture_of_strategies(np.random.default_rng(8).dirichlet(np.ones(16)))
+        first = local_membership(a).to_jsonable()
+        assert local_membership(hardy_behavior()).verdict == "infeasible"
+        assert local_membership(behavior_from_rows(NEAR_VERTEX_ROWS)).verdict == "feasible"
+        assert local_membership(a).to_jsonable() == first
+
+
+class TestSolverFailure:
+    """An LP that HiGHS stops before optimality: a time limit of zero."""
+
+    @pytest.fixture
+    def status(self, monkeypatch) -> str:
+        monkeypatch.setattr(locality._highs().options, "time_limit", 0.0)
+        return highs._Highs().modelStatusToString(highs.HighsModelStatus.kTimeLimit)
+
+    def test_raises_with_the_model_status(self, status):
+        with pytest.raises(RuntimeError) as excinfo:
+            local_membership(hardy_behavior())
+        assert str(excinfo.value) == f"membership LP did not solve: {status}"
+
+    def test_check_local_exits_one(self, status, capsys, tmp_path):
+        path = tmp_path / "hardy.json"
+        path.write_text(json.dumps(oracle_table(hardy_behavior())))
+        code = main(["check-local", "--behavior", str(path)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == f"error: membership LP did not solve: {status}\n"
+
+
+# ===========================================================================
+# the direct HiGHS calls against scipy's linprog
+# ===========================================================================
+
+TIGHT_FIT = {"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10}
+
+
+def linprog_fit(b: np.ndarray, options: dict | None = None) -> np.ndarray:
+    """min eps  s.t.  |V w - b| <= eps per cell,  w >= 0,  sum w = 1."""
+    vertices, neg = locality._VERTICES, -np.ones((16, 1))
+    fit = linprog(np.concatenate([np.zeros(16), [1.0]]),
+                  A_ub=np.block([[vertices, neg], [-vertices, neg]]),
+                  b_ub=np.concatenate([b, -b]),
+                  A_eq=np.concatenate([np.ones(16), [0.0]]).reshape(1, -1), b_eq=[1.0],
+                  bounds=[(0, None)] * 17, method="highs", options=options)
+    assert fit.success
+    return fit.x
+
+
+def linprog_separation(b: np.ndarray) -> np.ndarray:
+    """max f.b - t  s.t.  f.V_s <= t per strategy,  -1 <= f <= 1."""
+    sep = linprog(np.concatenate([-b, [1.0]]),
+                  A_ub=np.hstack([locality._VERTICES.T, -np.ones((16, 1))]),
+                  b_ub=np.zeros(16), bounds=[(-1, 1)] * 16 + [(None, None)], method="highs")
+    assert sep.success
+    return sep.x
+
+
+def seeded_rows(kind: str, rng: np.random.Generator) -> np.ndarray:
+    """One behavior's 16 cells in canonical order."""
+    if kind == "dirichlet":
+        return locality._VERTICES @ rng.dirichlet(np.ones(16))
+    if kind == "near-vertex":
+        return locality._VERTICES @ rng.dirichlet(0.05 * np.ones(16))
+    if kind == "signaling":
+        return np.concatenate([rng.dirichlet(np.ones(4)) for _ in range(4)])
+    if kind == "quantum":
+        t = rng.uniform(0.0, 2.0 * math.pi)
+        change = BasisChange("1", "2", np.array([[math.cos(t), -math.sin(t)],
+                                                 [math.sin(t), math.cos(t)]]))
+        amps = rng.normal(size=4)
+        behavior = quantum_behavior(make_state("1", "1", amps / np.linalg.norm(amps)), change)
+        return np.array([p for _, _, p in behavior.cells()])
+    noise = rng.uniform(0.0, 0.3)
+    hardy = np.array([p for _, _, p in hardy_behavior().cells()])
+    return (1.0 - noise) * hardy + noise * (locality._VERTICES @ rng.dirichlet(np.ones(16)))
+
+
+def assert_solves_match_linprog(b: np.ndarray) -> None:
+    lps = locality._highs()
+    row_upper = np.concatenate([b, -b, [1.0]])
+    for options, reference in ((lps.options, None), (lps.tight, TIGHT_FIT)):
+        x, _ = lps.fit.solve(options, row_upper_=row_upper)
+        assert np.array_equal(x, linprog_fit(b, reference))
+    x, _ = lps.separate.solve(lps.options, col_cost_=np.concatenate([-b, [1.0]]))
+    assert np.array_equal(x, linprog_separation(b))
+
+
+class TestAgreesWithLinprog:
+    """Both LPs, solved with the options linprog(method="highs") passes, give
+    linprog's solution vectors bit for bit."""
+
+    @pytest.mark.parametrize("kind", ["dirichlet", "near-vertex", "signaling",
+                                      "quantum", "hardy-noise"])
+    def test_seeded_behaviors(self, kind):
+        rng = np.random.default_rng(2026)
+        for _ in range(20):
+            assert_solves_match_linprog(seeded_rows(kind, rng))
+
+    def test_near_vertex_rows(self):
+        assert_solves_match_linprog(np.array(NEAR_VERTEX_ROWS))
 
 
 # ===========================================================================
