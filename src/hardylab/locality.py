@@ -8,14 +8,21 @@ the input exceeds its maximum over all deterministic strategies.
 The two LPs call the HiGHS bindings that scipy ships
 (`scipy.optimize._highspy._core`, where `linprog(method="highs")` ends up),
 with the options `linprog` passes; their constraint matrices, bounds and
-options are built once, and each solve gets a fresh solver. scipy is
-imported on the first solve, not here, so that the tables, the sampler and
-the closed-form checks never load it.
+options are built once, and each solve gets a fresh solver. The bindings
+are loaded on the first solve, not here, so that the tables, the sampler
+and the closed-form checks never load scipy. They are loaded from their
+file inside the scipy package and registered under their real module name,
+without running the `scipy.optimize` package (or importing `scipy.sparse`),
+which would cost most of `check-local`'s start-up time and memory.
 """
 from __future__ import annotations
 
+import importlib.util
+import os
+import sys
 from dataclasses import dataclass
 from functools import cache
+from importlib.machinery import PathFinder
 from itertools import product
 from typing import Any
 
@@ -157,24 +164,29 @@ def _grid_cells(behavior: Behavior) -> list[tuple[SettingPair, JointOutcome, flo
 
 class _Program:
     """One LP of fixed shape for HiGHS: min c.x s.t. row_lower <= A x <= row_upper
-    and col_lower <= x <= col_upper, with A a CSC array. `fixed` holds each
-    HighsLp vector that is the same for every behavior."""
+    and col_lower <= x <= col_upper. `fixed` holds each HighsLp vector that is
+    the same for every behavior."""
 
-    def __init__(self, core, a, **fixed: np.ndarray) -> None:
+    def __init__(self, core, a: np.ndarray, **fixed: np.ndarray) -> None:
         self.core = core  # scipy.optimize._highspy._core
-        self.a = a
+        self.shape = a.shape
+        # A column-wise, as scipy.sparse.csc_array(a) holds it
+        cols, rows = np.nonzero(a.T)
+        self.start = np.searchsorted(cols, np.arange(a.shape[1] + 1)).astype(np.int32)
+        self.index = rows.astype(np.int32)
+        self.value = a.T[cols, rows]
         self.fixed = fixed
 
     def solve(self, options, **vectors: np.ndarray) -> tuple[np.ndarray | None, str]:
         """Solve on a fresh HiGHS instance: x if optimal, and the model status."""
         core = self.core
         lp = core.HighsLp()
-        lp.num_row_, lp.num_col_ = self.a.shape
-        lp.a_matrix_.num_row_, lp.a_matrix_.num_col_ = self.a.shape
+        lp.num_row_, lp.num_col_ = self.shape
+        lp.a_matrix_.num_row_, lp.a_matrix_.num_col_ = self.shape
         lp.a_matrix_.format_ = core.MatrixFormat.kColwise
-        lp.a_matrix_.start_ = self.a.indptr
-        lp.a_matrix_.index_ = self.a.indices
-        lp.a_matrix_.value_ = self.a.data
+        lp.a_matrix_.start_ = self.start
+        lp.a_matrix_.index_ = self.index
+        lp.a_matrix_.value_ = self.value
         for name, value in {**self.fixed, **vectors}.items():
             setattr(lp, name, value)
         solver = core._Highs()
@@ -195,11 +207,24 @@ class _HighsLPs:
     tight: Any          # the same with 1e-10 primal and dual feasibility tolerances
 
 
+_CORE = "scipy.optimize._highspy._core"
+
+
 @cache
 def _highs() -> _HighsLPs:
     """scipy's HiGHS bindings and both LPs' fixed parts, built on the first solve."""
-    from scipy.optimize._highspy import _core as core
-    from scipy.sparse import csc_array
+    core = sys.modules.get(_CORE)
+    if core is None:
+        import scipy  # the top-level package only; its subpackages load lazily
+        spec = PathFinder.find_spec(
+            _CORE, [os.path.join(scipy.__path__[0], "optimize", "_highspy")])
+        if spec is None:
+            raise ModuleNotFoundError(f"No module named {_CORE!r}", name=_CORE)
+        core = importlib.util.module_from_spec(spec)
+        # registered before it runs, as the import system does: a later
+        # `import scipy.optimize` finds it here and does not load it again
+        sys.modules[_CORE] = core
+        spec.loader.exec_module(core)
 
     def options(**extra: float):
         # linprog(method="highs")'s settings; simplex strategy 1 is the dual simplex
@@ -212,12 +237,12 @@ def _highs() -> _HighsLPs:
 
     inf = core.kHighsInf
     neg = -np.ones((16, 1))
-    fit = _Program(core, csc_array(np.block([[_VERTICES, neg], [-_VERTICES, neg],
-                                             [np.ones((1, 16)), np.zeros((1, 1))]])),
+    fit = _Program(core, np.block([[_VERTICES, neg], [-_VERTICES, neg],
+                                   [np.ones((1, 16)), np.zeros((1, 1))]]),
                    col_cost_=np.concatenate([np.zeros(16), [1.0]]),
                    col_lower_=np.zeros(17), col_upper_=np.full(17, inf),
                    row_lower_=np.concatenate([np.full(32, -inf), [1.0]]))
-    separate = _Program(core, csc_array(np.hstack([_VERTICES.T, neg])),
+    separate = _Program(core, np.hstack([_VERTICES.T, neg]),
                         col_lower_=np.concatenate([-np.ones(16), [-inf]]),
                         col_upper_=np.concatenate([np.ones(16), [inf]]),
                         row_lower_=np.full(16, -inf), row_upper_=np.zeros(16))

@@ -109,3 +109,96 @@ class TestWithoutScipy:
         proc = run_python(NO_SCIPY, "tables")
         assert proc.returncode == 0, proc.stderr
         assert "setting (2,2)" in proc.stdout
+
+
+# Runs cli.main on argv with stdout captured, then prints one JSON line: the
+# exit code, and which of scipy's LP modules are in sys.modules.
+LP_MODULES_PROBE = """
+import contextlib, io, json, sys
+from hardylab.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    code = main(sys.argv[1:])
+print(json.dumps([code, {name: name in sys.modules for name in
+                         ("scipy.optimize", "scipy.sparse", "scipy.optimize._highspy._core")}]))
+"""
+
+
+def test_check_local_loads_only_the_highs_bindings(hardy_file):
+    proc = run_python(LP_MODULES_PROBE, "check-local", "--behavior", hardy_file)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [2, {"scipy.optimize": False, "scipy.sparse": False,
+                                           "scipy.optimize._highspy._core": True}]
+
+
+# Solves the Hardy rows through hardylab first, then imports scipy.optimize
+# and solves LP1 again with linprog. Prints one JSON line: whether
+# scipy.optimize was loaded before its import, whether scipy's _core is the
+# module hardylab loaded, and LP1's x from each side.
+SINGLE_COPY_PROBE = """
+import json, sys
+import numpy as np
+from hardylab import locality
+from hardylab.qstate import hardy_behavior
+
+b = np.array([p for _, _, p in hardy_behavior().cells()])
+assert locality.local_membership(hardy_behavior()).verdict == "infeasible"
+lps = locality._highs()
+x, _ = lps.fit.solve(lps.options, row_upper_=np.concatenate([b, -b, [1.0]]))
+loaded_before = "scipy.optimize" in sys.modules
+
+from scipy.optimize import linprog
+from scipy.optimize._highspy import _core
+name = "scipy.optimize._highspy._core"
+same = _core is sys.modules[name] and _core is lps.fit.core and _core is lps.separate.core
+vertices, neg = locality._VERTICES, -np.ones((16, 1))
+fit = linprog(np.concatenate([np.zeros(16), [1.0]]),
+              A_ub=np.block([[vertices, neg], [-vertices, neg]]), b_ub=np.concatenate([b, -b]),
+              A_eq=np.concatenate([np.ones(16), [0.0]]).reshape(1, -1), b_eq=[1.0],
+              bounds=[(0, None)] * 17, method="highs")
+print(json.dumps([loaded_before, same, fit.success, x.tolist(), fit.x.tolist()]))
+"""
+
+
+def test_scipy_optimize_reuses_the_loaded_bindings():
+    proc = run_python(SINGLE_COPY_PROBE)
+    assert proc.returncode == 0, proc.stderr
+    loaded_before, same, success, x, reference = json.loads(proc.stdout)
+    assert loaded_before is False
+    assert same is True
+    assert success is True
+    assert x == reference
+
+
+# Runs cli.main on argv[2:] with the directory argv[1] first on sys.path.
+FIRST_ON_PATH = """
+import sys
+sys.path.insert(0, sys.argv.pop(1))
+from hardylab.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+class TestWithoutHighsBindings:
+    """A scipy package whose optimize/_highspy holds no _core extension."""
+
+    @pytest.fixture
+    def fake_scipy(self, tmp_path) -> str:
+        package = tmp_path / "scipy"
+        (package / "optimize" / "_highspy").mkdir(parents=True)
+        (package / "__init__.py").write_text("", encoding="utf-8")
+        return str(tmp_path)
+
+    def test_check_local_prints_one_error_line(self, fake_scipy, hardy_file):
+        proc = run_python(FIRST_ON_PATH, fake_scipy, "check-local", "--behavior", hardy_file)
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("error: ")
+        assert "scipy.optimize._highspy._core" in lines[0]
+        assert "Traceback" not in proc.stderr
+
+    def test_tables_still_runs(self, fake_scipy):
+        proc = run_python(FIRST_ON_PATH, fake_scipy, "tables")
+        assert proc.returncode == 0, proc.stderr
+        assert "setting (2,2)" in proc.stdout
