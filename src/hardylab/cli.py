@@ -99,10 +99,20 @@ def behavior_to_jsonable(behavior: Behavior) -> dict[str, dict[str, float]]:
             for s, row in ((s, behavior.table[s]) for s in behavior.settings)}
 
 
+def _unique_keys(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
+    """json object_pairs_hook: a repeated key is an error, not a silent overwrite."""
+    data: dict[str, Any] = {}
+    for key, value in pairs:
+        if key in data:
+            raise ValueError(f"behavior file repeats the key {key!r}")
+        data[key] = value
+    return data
+
+
 def parse_behavior_json(text: str) -> Behavior:
     """Parse the behavior file schema, naming the offending cell on errors."""
     try:
-        data = json.loads(text)
+        data = json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise ValueError(f"behavior file is not valid JSON: {exc}") from None
     if not isinstance(data, dict) or not data:
@@ -395,18 +405,22 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError("must be at least 1")
+def _bounded_int(text: str, low: int, high: float, message: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from None
+    if not low <= value < high:
+        raise argparse.ArgumentTypeError(message)
     return value
+
+
+def _positive_int(text: str) -> int:
+    return _bounded_int(text, 1, float("inf"), "must be at least 1")
 
 
 def _seed_int(text: str) -> int:
-    value = int(text)
-    if not 0 <= value < 2 ** 64:
-        raise argparse.ArgumentTypeError("must fit in an unsigned 64-bit integer")
-    return value
+    return _bounded_int(text, 0, 2 ** 64, "must fit in an unsigned 64-bit integer")
 
 
 def build_parser() -> argparse.ArgumentParser:

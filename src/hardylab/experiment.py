@@ -26,6 +26,7 @@ from .qstate import JOINT_OUTCOMES, Behavior, JointOutcome, SettingPair
 
 MODELS = ("quantum", "realist")
 Z_LIMIT = 5.0  # per-cell score bound used by the pass verdict
+SETTING_LAW = (0.5, 0.5)  # each side's probability of picking its first label
 
 # 1 - 1e-6 quantiles of the chi-square distribution by degrees of freedom,
 # frozen from scipy.stats.chi2.ppf(1 - 1e-6, df) and cross-checked in tests.
@@ -55,12 +56,11 @@ CHI2_LIMIT_1E6: dict[int, float] = {
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Run parameters; setting_law gives P(first label) per side."""
+    """Run parameters; each side picks its first label with probability 1/2."""
 
     trials: int
     seed: int
     model: str = "realist"
-    setting_law: tuple[float, float] = (0.5, 0.5)
     shard_size: int = 1 << 16
 
     def __post_init__(self) -> None:
@@ -70,10 +70,6 @@ class ExperimentConfig:
             raise ValueError(f"seed must be a 64-bit unsigned integer, got {self.seed!r}")
         if self.model not in MODELS:
             raise ValueError(f"model must be one of {MODELS}, got {self.model!r}")
-        law = tuple(float(p) for p in self.setting_law)
-        if len(law) != 2 or any(not 0.0 <= p <= 1.0 for p in law):
-            raise ValueError(f"setting_law must be two probabilities, got {self.setting_law!r}")
-        object.__setattr__(self, "setting_law", law)
         if not isinstance(self.shard_size, int) or self.shard_size < 1:
             raise ValueError(f"shard_size must be a positive integer, got {self.shard_size!r}")
 
@@ -116,24 +112,10 @@ class FrequencyTable:
         return sum(sum(row.values()) for row in self.counts.values())
 
     def setting_total(self, setting: SettingPair) -> int:
-        setting = SettingPair(*setting)
-        return sum(self.counts.get(setting, {}).values()) if setting in self.counts else 0
+        return sum(self.counts.get(SettingPair(*setting), {}).values())
 
     def count(self, setting: SettingPair, cell: JointOutcome) -> int:
         return self.counts.get(SettingPair(*setting), {}).get(cell, 0)
-
-    def frequency(self, setting: SettingPair, cell: JointOutcome) -> float:
-        total = self.setting_total(setting)
-        return self.count(setting, cell) / total if total else 0.0
-
-    def merge(self, other: FrequencyTable) -> FrequencyTable:
-        merged: dict[SettingPair, dict[JointOutcome, int]] = {}
-        for table in (self.counts, other.counts):
-            for setting, row in table.items():
-                dst = merged.setdefault(setting, {c: 0 for c in JOINT_OUTCOMES})
-                for cell, n in row.items():
-                    dst[cell] += n
-        return FrequencyTable(merged)
 
 
 # ===========================================================================
@@ -179,8 +161,8 @@ def _run_shard(seed_seq: np.random.SeedSequence, size: int,
     which is searchsorted(row, u, side="right") since the row ends in 1.0.
     """
     rng = np.random.Generator(np.random.PCG64(seed_seq))
-    left = (rng.random(size) >= config.setting_law[0]).view(np.uint8)
-    right = (rng.random(size) >= config.setting_law[1]).view(np.uint8)
+    left = (rng.random(size) >= SETTING_LAW[0]).view(np.uint8)
+    right = (rng.random(size) >= SETTING_LAW[1]).view(np.uint8)
     setting_idx = 2 * left + right
     if config.model == "quantum":
         u = rng.random(size)
@@ -249,10 +231,10 @@ def run_experiment(config: ExperimentConfig, behavior: Behavior, *,
                    ) -> tuple[FrequencyTable, list[TrialRecord] | None]:
     """Run seeded trials against a behavior's rows.
 
-    Each trial picks a setting per the setting law, then either draws the
-    joint outcome from that setting's row (quantum) or draws a fresh full
-    assignment and reveals the chosen setting (realist). Returns the counts
-    and, when collect_trials is set, the per-trial log.
+    Each trial picks each side's label uniformly at random, then either
+    draws the joint outcome from that setting's row (quantum) or draws a
+    fresh full assignment and reveals the chosen setting (realist). Returns
+    the counts and, when collect_trials is set, the per-trial log.
     """
     shards = shard_codes(config, behavior, workers=workers)  # validates the grid
     cells = [(setting, cell) for setting, cell, _ in behavior.cells()]

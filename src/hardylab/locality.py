@@ -79,13 +79,11 @@ def deterministic_strategies() -> tuple[DeterministicStrategy, ...]:
     )
 
 
-def strategy_behavior(strategy: DeterministicStrategy,
-                      left_labels: tuple[str, str] = ("1", "2"),
-                      right_labels: tuple[str, str] = ("1", "2")) -> Behavior:
-    """The 0/1 behavior a strategy produces over a 2x2 setting grid."""
+def strategy_behavior(strategy: DeterministicStrategy) -> Behavior:
+    """The 0/1 behavior a strategy produces over the four detector settings."""
     return Behavior({
         SettingPair(lab_l, lab_r): {c: float(c is strategy.joint(i, j)) for c in JOINT_OUTCOMES}
-        for i, lab_l in enumerate(left_labels) for j, lab_r in enumerate(right_labels)})
+        for i, lab_l in enumerate("12") for j, lab_r in enumerate("12")})
 
 
 # Column s holds strategy s's behavior in the canonical flat cell order.

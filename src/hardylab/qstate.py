@@ -38,10 +38,6 @@ class Outcome(enum.Enum):
     def index(self) -> int:
         return 0 if self is Outcome.R else 1
 
-    @property
-    def spin(self) -> str:
-        return "+" if self is Outcome.R else "-"
-
 
 class JointOutcome(enum.Enum):
     """Two-side outcome, left letter first, in canonical declaration order."""
@@ -64,10 +60,6 @@ class JointOutcome(enum.Enum):
     @classmethod
     def from_outcomes(cls, left: Outcome, right: Outcome) -> JointOutcome:
         return cls(left.value + right.value)
-
-    @classmethod
-    def from_index(cls, index: int) -> JointOutcome:
-        return JOINT_OUTCOMES[index]
 
 
 OUTCOMES: tuple[Outcome, ...] = tuple(Outcome)
@@ -120,10 +112,6 @@ class TwoQubitState:
 
     def amplitude(self, cell: JointOutcome) -> float:
         return float(self.amps[cell.index])
-
-    def as_matrix(self) -> np.ndarray:
-        """Amplitudes as a 2x2 array indexed [left, right] with R=0, G=1."""
-        return self.amps.reshape(2, 2).copy()
 
 
 def make_state(left_basis: BasisLabel, right_basis: BasisLabel,
@@ -276,14 +264,6 @@ class Behavior:
     def settings(self) -> tuple[SettingPair, ...]:
         return tuple(self.table)
 
-    @property
-    def left_labels(self) -> tuple[BasisLabel, ...]:
-        return tuple(sorted({s.left for s in self.table}))
-
-    @property
-    def right_labels(self) -> tuple[BasisLabel, ...]:
-        return tuple(sorted({s.right for s in self.table}))
-
     def row(self, setting: SettingPair) -> dict[JointOutcome, float]:
         setting = SettingPair(*setting)
         if setting not in self.table:
@@ -306,7 +286,8 @@ class Behavior:
 
     def is_full_grid(self) -> bool:
         """True when two left labels each pair with both of two right labels."""
-        return len(self.left_labels) == len(self.right_labels) == 2 and len(self.table) == 4
+        return (len({s.left for s in self.table}) == len({s.right for s in self.table}) == 2
+                and len(self.table) == 4)
 
     def no_signaling_residual(self) -> float:
         """Largest shift of a one-side marginal when the far setting changes."""

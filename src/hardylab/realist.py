@@ -106,31 +106,6 @@ class ContextAssignment:
             clean[SettingPair(*setting)] = self.per_setting[setting]
         object.__setattr__(self, "per_setting", clean)
 
-    def __hash__(self) -> int:
-        return hash(tuple(self.per_setting.items()))
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, ContextAssignment):
-            return NotImplemented
-        return dict(self.per_setting) == dict(other.per_setting)
-
-    def to_jsonable(self) -> dict[str, str]:
-        """Setting keys to outcome names, e.g. {"11": "RG", ...}."""
-        return {s.key: o.value for s, o in self.per_setting.items()}
-
-    @classmethod
-    def from_jsonable(cls, data: Mapping[str, str]) -> ContextAssignment:
-        per_setting = {}
-        for key, name in data.items():
-            if not isinstance(key, str) or len(key) != 2:
-                raise ValueError(f"bad setting key {key!r}, expected two basis labels")
-            try:
-                outcome = JointOutcome(name)
-            except ValueError:
-                raise ValueError(f"bad outcome {name!r} for setting {key!r}") from None
-            per_setting[SettingPair(key[0], key[1])] = outcome
-        return cls(per_setting)
-
 
 def reveal(assignment: ContextAssignment, chosen: SettingPair) -> JointOutcome:
     """Uncover the outcome already assigned to the chosen setting."""

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import json
+import re
 
 import pytest
 
@@ -133,6 +134,13 @@ class TestSimulate:
     def test_rejects_oversized_seed(self, capsys):
         err = run_usage_error(capsys, "simulate", "--seed", str(2 ** 64))
         assert "--seed" in err
+
+    @pytest.mark.parametrize("flag, text", [("--trials", "1e3"), ("--seed", "abc"),
+                                            ("--workers", "two")])
+    def test_non_integer_is_usage_error(self, capsys, flag, text):
+        err = run_usage_error(capsys, "simulate", flag, text)
+        assert f"argument {flag}: {text!r} is not an integer" in err
+        assert not re.search(r"(?<![\w-])_[A-Za-z]", err)  # no private function names
 
     def test_unwritable_log_exits_one(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "simulate", "--trials", "10",
@@ -285,6 +293,19 @@ class TestCheckLocal:
         assert code == 1
         assert out == ""
         assert err.splitlines() == ["error: cell 12:RG is too large for a float"]
+
+    @pytest.mark.parametrize("key, repeat", [
+        # last-wins parsing would decide the second "11" row, the Hardy one
+        ("11", lambda text: '{"11": ' + json.dumps(UNIFORM_ROWS["11"]) + ", " + text[1:]),
+        ("GG", lambda text: text.replace('"GG": 0.09', '"GG": 0.09, "GG": 0.09')),
+    ], ids=["setting", "cell"])
+    def test_repeated_key_is_rejected(self, capsys, tmp_path, key, repeat):
+        path = tmp_path / "behavior.json"
+        path.write_text(repeat(json.dumps(behavior_to_jsonable(hardy_behavior()))))
+        code, out, err = run_cli(capsys, "check-local", "--behavior", str(path))
+        assert code == 1
+        assert out == ""
+        assert err.splitlines() == [f"error: behavior file repeats the key {key!r}"]
 
     def test_invalid_json_is_rejected(self, capsys, tmp_path):
         path = tmp_path / "behavior.json"

@@ -72,10 +72,6 @@ class TestExperimentConfig:
         with pytest.raises(ValueError, match="model"):
             ExperimentConfig(trials=10, seed=0, model="classical")
 
-    def test_rejects_bad_setting_law(self):
-        with pytest.raises(ValueError, match="setting_law"):
-            ExperimentConfig(trials=10, seed=0, setting_law=(0.5, 1.5))
-
     def test_rejects_bad_shard_size(self):
         with pytest.raises(ValueError, match="shard_size"):
             ExperimentConfig(trials=10, seed=0, shard_size=0)
@@ -129,9 +125,10 @@ class TestRunExperiment:
         for s in freq.settings:
             assert abs(freq.setting_total(s) - n / 4) < bound
 
-    def test_biased_setting_law(self):
+    def test_biased_setting_law(self, monkeypatch):
         n = 40000
-        config = ExperimentConfig(trials=n, seed=23, setting_law=(1.0, 0.0))
+        monkeypatch.setattr(experiment, "SETTING_LAW", (1.0, 0.0))
+        config = ExperimentConfig(trials=n, seed=23)
         freq, _ = run_experiment(config, hardy_behavior())
         assert freq.setting_total(SettingPair("1", "2")) == n
 
@@ -245,6 +242,7 @@ def reference_bounds(behavior: Behavior) -> list[list[float]]:
 def reference_codes(config: ExperimentConfig, behavior: Behavior, k: int) -> list[int]:
     """Shard k's codes one trial at a time, from the documented draw order."""
     bounds = reference_bounds(behavior)
+    law = experiment.SETTING_LAW
     size = min(config.shard_size, config.trials - k * config.shard_size)
     rng = np.random.Generator(np.random.PCG64(shard_seed(config.seed, k)))
     left = rng.random(size).tolist()
@@ -255,7 +253,7 @@ def reference_codes(config: ExperimentConfig, behavior: Behavior, k: int) -> lis
         draws = rng.random((size, 4)).tolist()
     codes = []
     for i in range(size):
-        s = 2 * (left[i] >= config.setting_law[0]) + (right[i] >= config.setting_law[1])
+        s = 2 * (left[i] >= law[0]) + (right[i] >= law[1])
         u = draws[i] if config.model == "quantum" else draws[i][s]
         codes.append(4 * s + bisect.bisect_right(bounds[s], u))
     return codes
@@ -311,11 +309,12 @@ class TestShardKernel:
     @pytest.mark.parametrize("size", [1, 7, 65537])
     @pytest.mark.parametrize("law", [(0.0, 1.0), (1.0, 0.0), (0.3, 0.8)])
     @pytest.mark.parametrize("name", list(KERNEL_BEHAVIORS))
-    def test_codes_match_per_trial_reference(self, name, law, size, model):
+    def test_codes_match_per_trial_reference(self, name, law, size, model, monkeypatch):
         behavior = KERNEL_BEHAVIORS[name]
+        monkeypatch.setattr(experiment, "SETTING_LAW", law)
         trials = 2 * size + 3 if size < 100 else size + 3  # ends in a partial shard
         config = ExperimentConfig(trials=trials, seed=9001 + size, model=model,
-                                  setting_law=law, shard_size=size)
+                                  shard_size=size)
         shards = list(shard_codes(config, behavior))
         assert len(shards) == -(-trials // size)
         for k, codes in enumerate(shards):
@@ -380,14 +379,6 @@ class TestFrequencyTable:
         with pytest.raises(ValueError, match="nonnegative"):
             FrequencyTable({SettingPair("1", "1"): {JointOutcome.RR: -1}})
 
-    def test_merge_adds_counts(self):
-        a = FrequencyTable({SettingPair("1", "1"): {JointOutcome.RR: 2}})
-        b = FrequencyTable({SettingPair("1", "1"): {JointOutcome.RR: 3,
-                                                    JointOutcome.GG: 1}})
-        merged = a.merge(b)
-        assert merged.count(SettingPair("1", "1"), JointOutcome.RR) == 5
-        assert merged.count(SettingPair("1", "1"), JointOutcome.GG) == 1
-
     def test_code_table_reads_codes_in_cell_order(self):
         """Code k counts the k-th (setting, cell) of Behavior.cells()."""
         behavior = quantum_behavior(phi_plus(), zx_change())
@@ -395,10 +386,6 @@ class TestFrequencyTable:
         cells = [(s, c) for s in SPIN_SETTINGS for c in JOINT_OUTCOMES]
         assert [freq.count(s, c) for s, c in cells] == [3 * k for k in range(16)]
         assert all(type(freq.count(s, c)) is int for s, c in cells)
-
-    def test_frequency_of_empty_setting_is_zero(self):
-        freq = FrequencyTable({SettingPair("1", "1"): {}})
-        assert freq.frequency(SettingPair("1", "1"), JointOutcome.RR) == 0.0
 
 
 # ===========================================================================

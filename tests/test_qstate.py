@@ -75,12 +75,7 @@ class TestOutcomes:
 
     def test_index_round_trip(self):
         for cell in JOINT_OUTCOMES:
-            assert JointOutcome.from_index(cell.index) is cell
             assert JointOutcome.from_outcomes(cell.left, cell.right) is cell
-
-    def test_spin_aliases(self):
-        assert Outcome.R.spin == "+"
-        assert Outcome.G.spin == "-"
 
     def test_setting_key(self):
         assert SettingPair("1", "2").key == "12"
@@ -113,12 +108,6 @@ class TestStateConstruction:
         st = hardy_state()
         with pytest.raises(ValueError):
             st.amps[0] = 1.0
-
-    def test_as_matrix_layout(self):
-        st = make_state("1", "1", [0.1, 0.2, 0.3, np.sqrt(1 - 0.14)])
-        m = st.as_matrix()
-        assert m[0, 1] == pytest.approx(0.2)  # row = left, col = right
-        assert m[1, 0] == pytest.approx(0.3)
 
 
 # ===========================================================================

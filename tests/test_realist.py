@@ -238,19 +238,6 @@ class TestIsNoncontextual:
 
 
 class TestAssignmentSerialization:
-    def test_jsonable_round_trip(self):
-        data = CONTEXTUAL_EXAMPLE.to_jsonable()
-        assert data == {"11": "RG", "12": "GR", "21": "RR", "22": "RR"}
-        assert ContextAssignment.from_jsonable(data) == CONTEXTUAL_EXAMPLE
-
-    def test_bad_outcome_name_is_reported(self):
-        with pytest.raises(ValueError, match="bad outcome"):
-            ContextAssignment.from_jsonable({"11": "RB"})
-
-    def test_bad_setting_key_is_reported(self):
-        with pytest.raises(ValueError, match="bad setting key"):
-            ContextAssignment.from_jsonable({"112": "RR"})
-
     def test_empty_assignment_rejected(self):
         with pytest.raises(ValueError, match="at least one"):
             ContextAssignment({})
