@@ -93,12 +93,6 @@ def _print_json(obj: Any) -> None:
     print(json.dumps(_round12(obj), indent=2))
 
 
-def behavior_to_jsonable(behavior: Behavior) -> dict[str, dict[str, float]]:
-    """Serialize rows as {"11": {"RR": p, ...}, ...} in canonical order."""
-    return {s.key: {c.value: row[c] for c in JOINT_OUTCOMES}
-            for s, row in ((s, behavior.table[s]) for s in behavior.settings)}
-
-
 def _unique_keys(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
     """json object_pairs_hook: a repeated key is an error, not a silent overwrite."""
     data: dict[str, Any] = {}

@@ -7,19 +7,22 @@ the input exceeds its maximum over all deterministic strategies.
 
 The two LPs call the HiGHS bindings that scipy ships
 (`scipy.optimize._highspy._core`, where `linprog(method="highs")` ends up),
-with the options `linprog` passes; their constraint matrices, bounds and
-options are built once, and each solve gets a fresh solver. The bindings
-are loaded on the first solve, not here, so that the tables, the sampler
-and the closed-form checks never load scipy. They are loaded from their
-file inside the scipy package and registered under their real module name,
-without running the `scipy.optimize` package (or importing `scipy.sparse`),
-which would cost most of `check-local`'s start-up time and memory.
+with the options `linprog` passes. Each LP's model (constraint matrix and
+bounds) and one HiGHS solver for it are built once; every solve passes that
+solver the options and the whole model again, so no basis or solution
+carries over from one behavior to the next. The bindings are loaded on the
+first solve, not here, so that the tables, the sampler and the closed-form
+checks never load scipy. They are loaded from their file inside the scipy
+package and registered under their real module name, without running the
+`scipy.optimize` package (or importing `scipy.sparse`), which would cost most
+of `check-local`'s start-up time and memory.
 """
 from __future__ import annotations
 
 import importlib.util
 import os
 import sys
+import threading
 from dataclasses import dataclass
 from functools import cache
 from importlib.machinery import PathFinder
@@ -162,39 +165,41 @@ def _grid_cells(behavior: Behavior) -> list[tuple[SettingPair, JointOutcome, flo
 
 class _Program:
     """One LP of fixed shape for HiGHS: min c.x s.t. row_lower <= A x <= row_upper
-    and col_lower <= x <= col_upper. `fixed` holds each HighsLp vector that is
-    the same for every behavior."""
+    and col_lower <= x <= col_upper, held as a HighsLp with the vectors that
+    are the same for every behavior, and the one solver that solves it."""
 
     def __init__(self, core, a: np.ndarray, **fixed: np.ndarray) -> None:
         self.core = core  # scipy.optimize._highspy._core
-        self.shape = a.shape
+        lp = core.HighsLp()
+        lp.num_row_, lp.num_col_ = a.shape
+        lp.a_matrix_.num_row_, lp.a_matrix_.num_col_ = a.shape
         # A column-wise, as scipy.sparse.csc_array(a) holds it
+        lp.a_matrix_.format_ = core.MatrixFormat.kColwise
         cols, rows = np.nonzero(a.T)
-        self.start = np.searchsorted(cols, np.arange(a.shape[1] + 1)).astype(np.int32)
-        self.index = rows.astype(np.int32)
-        self.value = a.T[cols, rows]
-        self.fixed = fixed
+        lp.a_matrix_.start_ = np.searchsorted(cols, np.arange(a.shape[1] + 1)).astype(np.int32)
+        lp.a_matrix_.index_ = rows.astype(np.int32)
+        lp.a_matrix_.value_ = a.T[cols, rows]
+        for name, value in fixed.items():
+            setattr(lp, name, value)
+        self.lp = lp
+        self.solver = core._Highs()
+        self.lock = threading.Lock()  # HiGHS holds the GIL, so threads lose nothing
 
     def solve(self, options, **vectors: np.ndarray) -> tuple[np.ndarray | None, str]:
-        """Solve on a fresh HiGHS instance: x if optimal, and the model status."""
-        core = self.core
-        lp = core.HighsLp()
-        lp.num_row_, lp.num_col_ = self.shape
-        lp.a_matrix_.num_row_, lp.a_matrix_.num_col_ = self.shape
-        lp.a_matrix_.format_ = core.MatrixFormat.kColwise
-        lp.a_matrix_.start_ = self.start
-        lp.a_matrix_.index_ = self.index
-        lp.a_matrix_.value_ = self.value
-        for name, value in {**self.fixed, **vectors}.items():
-            setattr(lp, name, value)
-        solver = core._Highs()
-        solver.passOptions(options)
-        solver.passModel(lp)
-        solver.run()
-        status = solver.getModelStatus()
-        optimal = status == core.HighsModelStatus.kOptimal
-        x = np.array(solver.getSolution().col_value) if optimal else None
-        return x, solver.modelStatusToString(status)
+        """x if optimal, and the model status. The solver is given the options
+        and the whole model on every solve: passModel drops the last basis and
+        solution, so each result is the one a fresh solver gives."""
+        core, lp, solver = self.core, self.lp, self.solver
+        with self.lock:
+            for name, value in vectors.items():
+                setattr(lp, name, value)
+            solver.passOptions(options)
+            solver.passModel(lp)
+            solver.run()
+            status = solver.getModelStatus()
+            optimal = status == core.HighsModelStatus.kOptimal
+            x = np.array(solver.getSolution().col_value) if optimal else None
+            return x, solver.modelStatusToString(status)
 
 
 @dataclass(frozen=True)

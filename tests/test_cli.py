@@ -6,8 +6,9 @@ import re
 
 import pytest
 
-from hardylab.cli import behavior_to_jsonable, main, parse_behavior_json
+from hardylab.cli import main, parse_behavior_json
 from hardylab.qstate import JOINT_OUTCOMES, hardy_behavior
+from test_locality import oracle_table
 
 UNIFORM_ROWS = {key: {c.value: 0.25 for c in JOINT_OUTCOMES}
                 for key in ("11", "12", "21", "22")}
@@ -229,7 +230,7 @@ class TestCheckLocal:
         assert "strategy weights" in out
 
     def test_detector_rows_are_infeasible(self, capsys, tmp_path):
-        rows = behavior_to_jsonable(hardy_behavior())
+        rows = oracle_table(hardy_behavior())
         code, out, _ = run_cli(capsys, "check-local", "--behavior",
                                self.write(tmp_path, rows), "--format", "json")
         assert code == 2
@@ -301,7 +302,7 @@ class TestCheckLocal:
     ], ids=["setting", "cell"])
     def test_repeated_key_is_rejected(self, capsys, tmp_path, key, repeat):
         path = tmp_path / "behavior.json"
-        path.write_text(repeat(json.dumps(behavior_to_jsonable(hardy_behavior()))))
+        path.write_text(repeat(json.dumps(oracle_table(hardy_behavior()))))
         code, out, err = run_cli(capsys, "check-local", "--behavior", str(path))
         assert code == 1
         assert out == ""
@@ -362,9 +363,9 @@ class TestMixtureCompare:
 
 class TestBehaviorSchema:
     def test_round_trip(self):
-        rows = behavior_to_jsonable(hardy_behavior())
+        rows = oracle_table(hardy_behavior())
         parsed = parse_behavior_json(json.dumps(rows))
-        assert behavior_to_jsonable(parsed) == rows
+        assert oracle_table(parsed) == rows
 
     def test_integer_probabilities_accepted(self):
         rows = {"11": {"RR": 1, "RG": 0, "GR": 0, "GG": 0}}

@@ -14,8 +14,8 @@ from pathlib import Path
 import pytest
 
 import hardylab
-from hardylab.cli import behavior_to_jsonable
 from hardylab.qstate import hardy_behavior
+from test_locality import oracle_table
 
 # Runs cli.main on argv with stdout captured, then prints one JSON line:
 # [exit code, whether scipy is in sys.modules].
@@ -54,7 +54,7 @@ def probe_main(*argv: str) -> tuple[int, bool]:
 @pytest.fixture
 def hardy_file(tmp_path) -> str:
     path = tmp_path / "hardy.json"
-    path.write_text(json.dumps(behavior_to_jsonable(hardy_behavior())), encoding="utf-8")
+    path.write_text(json.dumps(oracle_table(hardy_behavior())), encoding="utf-8")
     return str(path)
 
 

@@ -3,6 +3,8 @@ from __future__ import annotations
 
 import json
 import math
+import sys
+from concurrent.futures import ThreadPoolExecutor
 from itertools import product
 
 import numpy as np
@@ -246,7 +248,8 @@ class TestLocalMembership:
             assert cell in {"RR", "RG", "GR", "GG"}
 
     def test_solves_are_independent(self):
-        """Each LP runs on a fresh solver: no basis carries over between calls."""
+        """Each solve passes its LP's one solver the whole model again: no basis
+        carries over between calls."""
         a = mixture_of_strategies(np.random.default_rng(8).dirichlet(np.ones(16)))
         first = local_membership(a).to_jsonable()
         assert local_membership(hardy_behavior()).verdict == "infeasible"
@@ -348,6 +351,65 @@ class TestAgreesWithLinprog:
 
     def test_near_vertex_rows(self):
         assert_solves_match_linprog(np.array(NEAR_VERTEX_ROWS))
+
+
+def mixed_behaviors(n: int, seed: int) -> list[Behavior]:
+    """n seeded behaviors, cycling through the five classes of seeded_rows."""
+    rng = np.random.default_rng(seed)
+    kinds = ["dirichlet", "near-vertex", "signaling", "quantum", "hardy-noise"]
+    return [behavior_from_rows(list(seeded_rows(kinds[i % 5], rng))) for i in range(n)]
+
+
+class TestSharedSolver:
+    """Each LP keeps one model and one solver; no order, options or failure
+    from an earlier solve reaches a later one."""
+
+    def test_order_does_not_matter(self):
+        behaviors = mixed_behaviors(200, 31)
+        results = {}
+        for seed in (1, 2):
+            order = np.random.default_rng(seed).permutation(len(behaviors))
+            results[seed] = {int(i): local_membership(behaviors[i]).to_jsonable()
+                             for i in order}
+        assert results[1] == results[2]
+
+    def test_options_are_passed_on_every_solve(self):
+        lps = locality._highs()
+        b = np.array(NEAR_VERTEX_ROWS)
+        row_upper = np.concatenate([b, -b, [1.0]])
+        for options, reference in ((lps.options, None), (lps.tight, TIGHT_FIT),
+                                   (lps.options, None)):
+            x, _ = lps.fit.solve(options, row_upper_=row_upper)
+            assert np.array_equal(x, linprog_fit(b, reference))
+
+    def test_solve_after_a_failure(self, monkeypatch):
+        lps = locality._highs()
+        b = np.array([p for _, _, p in hardy_behavior().cells()])
+        row_upper = np.concatenate([b, -b, [1.0]])
+        monkeypatch.setattr(lps.options, "time_limit", 0.0)
+        x, status = lps.fit.solve(lps.options, row_upper_=row_upper)
+        assert x is None
+        assert status == highs._Highs().modelStatusToString(highs.HighsModelStatus.kTimeLimit)
+        monkeypatch.undo()
+        x, _ = lps.fit.solve(lps.options, row_upper_=row_upper)
+        assert np.array_equal(x, linprog_fit(b))
+
+    def test_threads_get_the_sequential_results(self):
+        behaviors = mixed_behaviors(60, 47)
+        expected = [local_membership(b).to_jsonable() for b in behaviors]
+
+        def solve_all() -> list[dict]:
+            return [local_membership(b).to_jsonable() for b in behaviors]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads often, between any two HiGHS calls
+        try:
+            with ThreadPoolExecutor(4) as pool:
+                futures = [pool.submit(solve_all) for _ in range(4)]
+                results = [future.result(timeout=120) for future in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        assert results == [expected] * 4
 
 
 # ===========================================================================
