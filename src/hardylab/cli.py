@@ -19,6 +19,7 @@ from typing import Any, NoReturn, Sequence
 import numpy as np
 
 from .experiment import (
+    MODELS,
     Z_LIMIT,
     ExperimentConfig,
     FrequencyTable,
@@ -434,7 +435,7 @@ def build_parser() -> argparse.ArgumentParser:
                                         "frequencies with the predicted rows")
     p.add_argument("--trials", type=_positive_int, default=100000)
     p.add_argument("--seed", type=_seed_int, default=0)
-    p.add_argument("--model", choices=("quantum", "realist"), default="realist")
+    p.add_argument("--model", choices=MODELS, default="realist")
     p.add_argument("--workers", type=_positive_int, default=1,
                    help="shard executors; output is identical for any value")
     p.add_argument("--log", metavar="PATH", default=None,

@@ -1,10 +1,12 @@
 """Monte Carlo measurement runs and frequency-vs-prediction comparison.
 
-Trials are split into fixed-size shards; shard k draws from its own PCG64
-generator seeded by SeedSequence(seed, spawn_key=(k,)), the k-th child that
-SeedSequence(seed).spawn() gives, built only when the shard runs. Shard
-results are concatenated in shard order. Output therefore depends only on
-(config, behavior), never on how many workers executed the shards.
+Trials are split into shards of ExperimentConfig.shard_size (65 536) trials;
+the size is fixed, as it is part of the output stream. Shard k draws from
+its own PCG64 generator seeded by SeedSequence(seed, spawn_key=(k,)), the
+k-th child that SeedSequence(seed).spawn() gives, built only when the shard
+runs. Every run samples its shards on a thread pool, one worker included,
+and concatenates the results in shard order. Output therefore depends only
+on (config, behavior), never on how many workers executed the shards.
 
 Per-shard draw order is fixed: left settings, right settings, then outcome
 uniforms (one per trial in quantum mode; one per trial and setting, in
@@ -18,7 +20,7 @@ import os
 from collections import deque
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Iterator, Mapping, NamedTuple
+from typing import Callable, ClassVar, Iterator, Mapping, NamedTuple
 
 import numpy as np
 
@@ -61,17 +63,15 @@ class ExperimentConfig:
     trials: int
     seed: int
     model: str = "realist"
-    shard_size: int = 1 << 16
+    shard_size: ClassVar[int] = 1 << 16  # trials per shard; part of the output stream
 
     def __post_init__(self) -> None:
-        if not isinstance(self.trials, int) or self.trials < 1:
+        if type(self.trials) is not int or self.trials < 1:
             raise ValueError(f"trials must be a positive integer, got {self.trials!r}")
-        if not isinstance(self.seed, int) or not 0 <= self.seed < 2 ** 64:
+        if type(self.seed) is not int or not 0 <= self.seed < 2 ** 64:
             raise ValueError(f"seed must be a 64-bit unsigned integer, got {self.seed!r}")
         if self.model not in MODELS:
             raise ValueError(f"model must be one of {MODELS}, got {self.model!r}")
-        if not isinstance(self.shard_size, int) or self.shard_size < 1:
-            raise ValueError(f"shard_size must be a positive integer, got {self.shard_size!r}")
 
 
 class TrialRecord(NamedTuple):
@@ -178,10 +178,11 @@ def shard_codes(config: ExperimentConfig, behavior: Behavior, *,
                 workers: int = 1) -> Iterator[np.ndarray]:
     """Each shard's outcome codes, in shard order.
 
-    Code k is the k-th cell of behavior.cells(). The shards run on at most
-    min(workers, shards, CPUs) threads, with at most twice that many in
-    flight, so memory is bounded by shard size and CPU count, never by the
-    trial count.
+    Code k is the k-th cell of behavior.cells(). The shards always run on a
+    pool of min(workers, shards, CPUs) threads, never on the caller's, with
+    at most twice that many in flight: the caller consumes one shard while
+    the next ones are sampled, and memory is bounded by shard size and CPU
+    count, never by the trial count.
     """
     if not behavior.is_full_grid():
         raise ValueError("experiment needs a behavior over a full 2x2 setting grid")
@@ -196,10 +197,7 @@ def shard_codes(config: ExperimentConfig, behavior: Behavior, *,
         seed = np.random.SeedSequence(config.seed, spawn_key=(k,))
         return _run_shard(seed, size, config, boundaries)
 
-    workers = min(workers, n_shards, os.cpu_count() or 1)
-    if workers == 1:
-        return map(shard, range(n_shards))
-    return _bounded_map(shard, n_shards, workers)
+    return _bounded_map(shard, n_shards, min(workers, n_shards, os.cpu_count() or 1))
 
 
 def _bounded_map(fn: Callable[[int], np.ndarray], n: int,

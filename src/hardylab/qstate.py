@@ -265,13 +265,13 @@ class Behavior:
         return tuple(self.table)
 
     def row(self, setting: SettingPair) -> dict[JointOutcome, float]:
+        return {cell: self.prob(setting, cell) for cell in JOINT_OUTCOMES}
+
+    def prob(self, setting: SettingPair, cell: JointOutcome) -> float:
         setting = SettingPair(*setting)
         if setting not in self.table:
             raise ValueError(f"behavior has no setting {setting}")
-        return dict(self.table[setting])
-
-    def prob(self, setting: SettingPair, cell: JointOutcome) -> float:
-        return self.row(setting)[cell]
+        return self.table[setting][cell]
 
     def cells(self) -> Iterable[tuple[SettingPair, JointOutcome, float]]:
         """All (setting, cell, probability) triples in the canonical flat order.

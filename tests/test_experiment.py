@@ -2,7 +2,9 @@
 from __future__ import annotations
 
 import bisect
+import dataclasses
 import itertools
+import threading
 import time
 import tracemalloc
 from concurrent.futures import Future
@@ -58,12 +60,12 @@ def exact_counts(behavior: Behavior, per_setting: int) -> FrequencyTable:
 # ===========================================================================
 
 class TestExperimentConfig:
-    @pytest.mark.parametrize("trials", [0, -5, 2.5])
+    @pytest.mark.parametrize("trials", [0, -5, 2.5, True])
     def test_rejects_bad_trials(self, trials):
         with pytest.raises(ValueError, match="trials"):
             ExperimentConfig(trials=trials, seed=0)
 
-    @pytest.mark.parametrize("seed", [-1, 2 ** 64, 1.5])
+    @pytest.mark.parametrize("seed", [-1, 2 ** 64, 1.5, True])
     def test_rejects_bad_seed(self, seed):
         with pytest.raises(ValueError, match="seed"):
             ExperimentConfig(trials=10, seed=seed)
@@ -72,9 +74,12 @@ class TestExperimentConfig:
         with pytest.raises(ValueError, match="model"):
             ExperimentConfig(trials=10, seed=0, model="classical")
 
-    def test_rejects_bad_shard_size(self):
-        with pytest.raises(ValueError, match="shard_size"):
-            ExperimentConfig(trials=10, seed=0, shard_size=0)
+    def test_shard_size_is_fixed_not_an_option(self):
+        assert [f.name for f in dataclasses.fields(ExperimentConfig)] == [
+            "trials", "seed", "model"]
+        assert ExperimentConfig(trials=1, seed=0).shard_size == 65536
+        with pytest.raises(TypeError, match="shard_size"):
+            ExperimentConfig(trials=10, seed=0, shard_size=512)
 
 
 # ===========================================================================
@@ -100,9 +105,10 @@ class TestRunExperiment:
         assert counts_of(a) == counts_of(b)
 
     @pytest.mark.parametrize("workers", [2, 3, 7])
-    def test_worker_count_is_invisible(self, workers):
+    def test_worker_count_is_invisible(self, workers, monkeypatch):
         """Counts and the trial log never depend on executor parallelism."""
-        config = ExperimentConfig(trials=50000, seed=21, shard_size=4096)
+        monkeypatch.setattr(ExperimentConfig, "shard_size", 4096)
+        config = ExperimentConfig(trials=50000, seed=21)
         base, log_base = run_experiment(config, hardy_behavior(), collect_trials=True)
         multi, log_multi = run_experiment(config, hardy_behavior(),
                                           workers=workers, collect_trials=True)
@@ -140,8 +146,9 @@ class TestRunExperiment:
             assert freq.count(SettingPair("1", "2"), JointOutcome.GG) == 0
             assert freq.count(SettingPair("2", "1"), JointOutcome.GG) == 0
 
-    def test_trial_log_indices_are_global_and_ordered(self):
-        config = ExperimentConfig(trials=5000, seed=31, shard_size=512)
+    def test_trial_log_indices_are_global_and_ordered(self, monkeypatch):
+        monkeypatch.setattr(ExperimentConfig, "shard_size", 512)
+        config = ExperimentConfig(trials=5000, seed=31)
         freq, records = run_experiment(config, hardy_behavior(), collect_trials=True)
         assert records is not None
         assert [r.index for r in records] == list(range(5000))
@@ -152,16 +159,20 @@ class TestRunExperiment:
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_shards_run_at_most_two_per_worker_ahead(self, monkeypatch, workers):
-        """A slow consumer never has more than 2 * workers shards sampled ahead."""
+        """A slow consumer never has more than 2 * workers shards sampled ahead.
+
+        Shards run on pool threads even for one worker, never on the caller's.
+        """
         produced = []
         real = experiment._run_shard
 
         def counting(*args):
-            produced.append(True)  # list.append is atomic across threads
+            produced.append(threading.current_thread())  # atomic across threads
             return real(*args)
 
         monkeypatch.setattr(experiment, "_run_shard", counting)
-        config = ExperimentConfig(trials=64 * 40, seed=5, shard_size=64)
+        monkeypatch.setattr(ExperimentConfig, "shard_size", 64)
+        config = ExperimentConfig(trials=64 * 40, seed=5)
         ahead = []
         for consumed, codes in enumerate(
                 shard_codes(config, hardy_behavior(), workers=workers), start=1):
@@ -170,10 +181,9 @@ class TestRunExperiment:
             ahead.append(len(produced) - consumed)
         assert len(ahead) == 40
         assert 0 <= min(ahead) and max(ahead) <= 2 * workers
-        if workers == 1:
-            assert max(ahead) == 0
+        assert threading.main_thread() not in produced
 
-    @pytest.mark.parametrize("cpus, shards, pool", [(4, 10, 4), (4, 3, 3), (None, 10, None)])
+    @pytest.mark.parametrize("cpus, shards, pool", [(4, 10, 4), (4, 3, 3), (None, 10, 1)])
     def test_pool_bounded_by_cpus_and_shards(self, monkeypatch, cpus, shards, pool):
         """A huge worker count asks for no more threads than CPUs or shards.
 
@@ -196,13 +206,14 @@ class TestRunExperiment:
 
         monkeypatch.setattr(experiment, "ThreadPoolExecutor", SyncPool)
         monkeypatch.setattr(experiment.os, "cpu_count", lambda: cpus)
-        config = ExperimentConfig(trials=64 * shards, seed=5, shard_size=64)
+        monkeypatch.setattr(ExperimentConfig, "shard_size", 64)
+        config = ExperimentConfig(trials=64 * shards, seed=5)
         got = []
         for consumed, codes in enumerate(
                 shard_codes(config, hardy_behavior(), workers=10 ** 6), start=1):
-            assert len(produced) - consumed <= 2 * (pool or 1)
+            assert len(produced) - consumed <= 2 * pool
             got.append(codes)
-        assert sizes == ([pool] if pool else [])
+        assert sizes == [pool]
         expected = list(shard_codes(config, hardy_behavior()))
         assert len(got) == shards
         assert all(np.array_equal(a, b) for a, b in zip(got, expected))
@@ -312,9 +323,9 @@ class TestShardKernel:
     def test_codes_match_per_trial_reference(self, name, law, size, model, monkeypatch):
         behavior = KERNEL_BEHAVIORS[name]
         monkeypatch.setattr(experiment, "SETTING_LAW", law)
+        monkeypatch.setattr(ExperimentConfig, "shard_size", size)
         trials = 2 * size + 3 if size < 100 else size + 3  # ends in a partial shard
-        config = ExperimentConfig(trials=trials, seed=9001 + size, model=model,
-                                  shard_size=size)
+        config = ExperimentConfig(trials=trials, seed=9001 + size, model=model)
         shards = list(shard_codes(config, behavior))
         assert len(shards) == -(-trials // size)
         for k, codes in enumerate(shards):

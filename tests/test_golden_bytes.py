@@ -126,9 +126,10 @@ def test_bytes_pinned_across_digit_widths(capsys, tmp_path, model, trials, worke
 
 
 @pytest.mark.parametrize("model", ["quantum", "realist"])
-def test_log_matches_csv_writer_over_records(tmp_path, model):
+def test_log_matches_csv_writer_over_records(tmp_path, model, monkeypatch):
     """The streamed log equals csv.writer over the collected trial records."""
-    config = ExperimentConfig(trials=5000, seed=31, model=model, shard_size=512)
+    monkeypatch.setattr(ExperimentConfig, "shard_size", 512)
+    config = ExperimentConfig(trials=5000, seed=31, model=model)
     behavior = hardy_behavior()
     _, records = run_experiment(config, behavior, collect_trials=True)
     expected = io.StringIO(newline="")

@@ -308,6 +308,16 @@ class TestBehaviorValidation:
     def test_unknown_setting_lookup_fails(self):
         with pytest.raises(ValueError, match="no setting"):
             hardy_behavior().row(SettingPair("3", "1"))
+        with pytest.raises(ValueError, match="no setting"):
+            hardy_behavior().prob(("3", "1"), JointOutcome.GG)
+
+    def test_row_is_a_copy_of_the_stored_cells(self):
+        beh = hardy_behavior()
+        row = beh.row(("2", "2"))
+        assert list(row) == list(JOINT_OUTCOMES)
+        assert row == beh.table[SettingPair("2", "2")]
+        row[JointOutcome.GG] = 2.0
+        assert beh.prob(("2", "2"), JointOutcome.GG) < 1.0
 
     def test_signaling_table_has_positive_residual(self):
         table = uniform_table()
