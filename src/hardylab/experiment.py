@@ -90,17 +90,17 @@ class FrequencyTable:
 
     def __post_init__(self) -> None:
         clean: dict[SettingPair, dict[JointOutcome, int]] = {}
-        for setting in sorted(self.counts, key=lambda s: (s.left, s.right)):
+        for setting in sorted(SettingPair(*s) for s in self.counts):
             row = self.counts[setting]
             out_row = {}
             for cell in JOINT_OUTCOMES:
                 n = row.get(cell, 0)
                 if not isinstance(n, (int, np.integer)) or n < 0:
                     raise ValueError(
-                        f"count for {SettingPair(*setting).key}:{cell.value} must be a "
+                        f"count for {setting.key}:{cell.value} must be a "
                         f"nonnegative integer, got {n!r}")
                 out_row[cell] = int(n)
-            clean[SettingPair(*setting)] = out_row
+            clean[setting] = out_row
         object.__setattr__(self, "counts", clean)
 
     @property
@@ -159,6 +159,11 @@ def _run_shard(seed_seq: np.random.SeedSequence, size: int,
     reads only each trial's revealed entry. The outcome index is the number
     of the chosen row's first three boundaries at or below the uniform,
     which is searchsorted(row, u, side="right") since the row ends in 1.0.
+    Every gather is a take() with an intp index, since indexing with the
+    uint8 setting index converts it on each gather. The intp row index is
+    built only after the realist block is freed: alive beside the block, it
+    lifts a shard's peak heap past glibc malloc's trim threshold, and each
+    realist shard would then fault its pages in afresh.
     """
     rng = np.random.Generator(np.random.PCG64(seed_seq))
     left = (rng.random(size) >= SETTING_LAW[0]).view(np.uint8)
@@ -167,10 +172,11 @@ def _run_shard(seed_seq: np.random.SeedSequence, size: int,
     if config.model == "quantum":
         u = rng.random(size)
     else:  # realist: a full assignment per trial, reveal the chosen setting
-        u = rng.random(4 * size)[np.arange(0, 4 * size, 4) + setting_idx]
+        u = rng.random(4 * size).take(np.arange(0, 4 * size, 4) + setting_idx)
+    rows = setting_idx.astype(np.intp)
     codes = 4 * setting_idx
     for column in boundaries.T[:3]:
-        codes += (u >= column[setting_idx]).view(np.uint8)
+        codes += (u >= column.take(rows)).view(np.uint8)
     return codes
 
 

@@ -240,8 +240,7 @@ class Behavior:
         if not self.table:
             raise ValueError("behavior needs at least one setting")
         clean: dict[SettingPair, dict[JointOutcome, float]] = {}
-        for setting in sorted(self.table, key=lambda s: (s.left, s.right)):
-            setting = SettingPair(*setting)
+        for setting in sorted(SettingPair(*s) for s in self.table):
             row = self.table[setting]
             missing = [c.value for c in JOINT_OUTCOMES if c not in row]
             if missing:

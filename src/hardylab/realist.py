@@ -101,10 +101,8 @@ class ContextAssignment:
     def __post_init__(self) -> None:
         if not self.per_setting:
             raise ValueError("assignment needs at least one setting")
-        clean = {}
-        for setting in sorted(self.per_setting, key=lambda s: (s.left, s.right)):
-            clean[SettingPair(*setting)] = self.per_setting[setting]
-        object.__setattr__(self, "per_setting", clean)
+        settings = sorted(SettingPair(*s) for s in self.per_setting)
+        object.__setattr__(self, "per_setting", {s: self.per_setting[s] for s in settings})
 
 
 def reveal(assignment: ContextAssignment, chosen: SettingPair) -> JointOutcome:

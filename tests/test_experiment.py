@@ -390,6 +390,13 @@ class TestFrequencyTable:
         with pytest.raises(ValueError, match="nonnegative"):
             FrequencyTable({SettingPair("1", "1"): {JointOutcome.RR: -1}})
 
+    def test_plain_tuple_keys_become_setting_pairs(self):
+        freq = FrequencyTable({("2", "1"): {JointOutcome.GG: 2}, ("1", "1"): {JointOutcome.RR: 5}})
+        assert freq.settings == (SettingPair("1", "1"), SettingPair("2", "1"))
+        assert all(type(s) is SettingPair for s in freq.settings)
+        assert freq.count(("1", "1"), JointOutcome.RR) == 5
+        assert freq.setting_total(SettingPair("2", "1")) == 2
+
     def test_code_table_reads_codes_in_cell_order(self):
         """Code k counts the k-th (setting, cell) of Behavior.cells()."""
         behavior = quantum_behavior(phi_plus(), zx_change())

@@ -297,6 +297,13 @@ class TestBehaviorValidation:
         beh = Behavior(table)
         assert [s.key for s in beh.settings] == ["11", "12", "21", "22"]
 
+    def test_plain_tuple_keys_become_setting_pairs(self):
+        table = {tuple(s): row for s, row in reversed(list(uniform_table().items()))}
+        beh = Behavior(table)
+        assert [s.key for s in beh.settings] == ["11", "12", "21", "22"]
+        assert all(type(s) is SettingPair for s in beh.settings)
+        assert beh.table == uniform_table()
+
     def test_cells_are_setting_major(self):
         """The flat cell order: settings in canonical order, then RR, RG, GR, GG."""
         flat = [(s.key, c.value, p) for s, c, p in hardy_behavior().cells()]

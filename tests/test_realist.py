@@ -206,6 +206,14 @@ class TestReveal:
         with pytest.raises(ValueError, match="no setting"):
             reveal(CONTEXTUAL_EXAMPLE, SettingPair("z", "z"))
 
+    def test_plain_tuple_keys_become_setting_pairs(self):
+        a = ContextAssignment({tuple(s): CONTEXTUAL_EXAMPLE.per_setting[s]
+                               for s in reversed(HARDY_SETTINGS)})
+        assert list(a.per_setting) == list(HARDY_SETTINGS)
+        assert all(type(s) is SettingPair for s in a.per_setting)
+        assert a.per_setting == CONTEXTUAL_EXAMPLE.per_setting
+        assert reveal(a, ("2", "2")) is JointOutcome.RR
+
 
 # ===========================================================================
 # contextuality
