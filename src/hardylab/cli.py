@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import sys
 from typing import Any, NoReturn, Sequence
@@ -137,50 +138,118 @@ def parse_behavior_json(text: str) -> Behavior:
     return Behavior(table)
 
 
-def _log_rows(start: int, codes: np.ndarray, table: np.ndarray) -> bytes:
-    """Log rows start, start + 1, ...: each trial index in ASCII digits, then table[code].
+def _words(width: int) -> list[tuple[int, int]]:
+    """(offset, size) of the fewest 8-, 4-, 2- and 1-byte words that tile `width` bytes."""
+    words, pos = [], 0
+    for size in (8, 4, 2, 1):
+        while width - pos >= size:
+            words.append((pos, size))
+            pos += size
+    return words
 
-    The rows are built in one uint8 array per run of indices with the same
-    number of digits, so a shard splits only where its index crosses a power
-    of ten.
+
+def _word_tables(table: np.ndarray) -> list[tuple[int, np.ndarray]]:
+    """The rows of a (k, width) uint8 table as little-endian words: (offset, k words) each."""
+    return [(pos, np.ascontiguousarray(table[:, pos:pos + size]).view(f"<u{size}").ravel())
+            for pos, size in _words(table.shape[1])]
+
+
+@functools.cache
+def _digit_words(digits: int) -> list[tuple[int, np.ndarray]]:
+    """The last `digits` (at most 4) ASCII digits of 0, ..., 9999, as word tables."""
+    powers = 10 ** np.arange(digits - 1, -1, -1)
+    return _word_tables((np.arange(10_000)[:, None] // powers % 10 + ord("0")).astype(np.uint8))
+
+
+def _column(buf: np.ndarray, offset: int, stride: int, n: int, size: int) -> np.ndarray:
+    """n little-endian `size`-byte words of buf, the first at offset, `stride` bytes apart."""
+    return np.ndarray((n,), f"<u{size}", buffer=buf, offset=offset, strides=(stride,))
+
+
+class _LogRows:
+    """Trial-log row builder whose buffers are allocated once, for `rows` rows of
+    at most `digits` index digits.
+
+    Row start + r is the trial index in ASCII digits, then table[codes[r]].
+    Every field is stored through 8-, 4-, 2- or 1-byte word views strided by
+    the row width. The last four index digits are copied from a table of the
+    10 000 four-digit groups, one slice per 10 000-aligned block; the digits
+    above them are constant within a block and come from Python's str, so
+    they are exact at any index.
     """
-    parts = []
-    lo, stop = start, start + len(codes)
-    dtype = np.uint32 if stop <= 2 ** 32 else np.uint64  # 32-bit division is faster
-    while lo < stop:
-        digits = len(str(lo))
-        hi = min(stop, 10 ** digits)
-        rows = np.empty((hi - lo, digits + table.shape[1]), dtype=np.uint8)
-        rows[:, digits:] = np.take(table, codes[lo - start:hi - start], axis=0)
-        index = np.arange(lo, hi, dtype=dtype)
-        for col in range(digits - 1, -1, -1):
-            quot = index // 10
-            rows[:, col] = index - 10 * quot + ord("0")
-            index = quot
-        parts.append(rows.tobytes())
-        lo = hi
-    return b"".join(parts)
+
+    def __init__(self, table: np.ndarray, rows: int, digits: int):
+        self.suffix_width = table.shape[1]
+        self.buf = np.empty(rows * (digits + self.suffix_width), dtype=np.uint8)
+        self.codes = np.empty(rows, dtype=np.intp)  # gathers and bincount read intp as is
+        self.suffix = [(pos, words, np.empty(rows, dtype=words.dtype))
+                       for pos, words in _word_tables(table)]
+        self.fill = np.empty(10_000, dtype="<u8")  # one block of one high-digit word
+
+    def __call__(self, start: int, codes: np.ndarray) -> memoryview:
+        """The rows of trials start, start + 1, ... with outcome codes `codes`,
+        as one view of the buffer, valid until the next call.
+
+        The rows are laid out in runs of indices with the same number of
+        digits, so a run ends only where the index crosses a power of ten.
+        """
+        n = len(codes)
+        for _, words, out in self.suffix:
+            np.take(words, codes, out=out[:n], mode="clip")
+        end = 0
+        lo, stop = start, start + n
+        while lo < stop:
+            digits = len(str(lo))
+            hi = min(stop, 10 ** digits)
+            width = digits + self.suffix_width
+            for pos, words, out in self.suffix:
+                _column(self.buf, end + digits + pos, width, hi - lo, words.itemsize)[...] = \
+                    out[lo - start:hi - start]
+            low = min(digits, 4)
+            a = lo
+            while a < hi:
+                block, skip = divmod(a, 10_000)
+                b = min(hi, a - skip + 10_000)
+                row = end + (a - lo) * width
+                for pos, words in _digit_words(low):
+                    _column(self.buf, row + digits - low + pos, width, b - a,
+                            words.itemsize)[...] = words[skip:skip + b - a]
+                high = str(block).encode() if digits > 4 else b""
+                for pos, size in _words(len(high)):
+                    # numpy fills an unaligned view about 6x slower than it copies into one
+                    words = self.fill.view(f"<u{size}")[:b - a]
+                    words.fill(int.from_bytes(high[pos:pos + size], "little"))
+                    _column(self.buf, row + pos, width, b - a, size)[...] = words
+                a = b
+            end += (hi - lo) * width
+            lo = hi
+        return self.buf.data[:end]
 
 
 def _write_trial_log(path: str, config: ExperimentConfig, behavior: Behavior,
                      workers: int) -> FrequencyTable:
     """Run the trials, writing the per-trial CSV log shard by shard; return the counts.
 
-    Each shard is written as one byte string: the trial index joined to one
-    of 16 equal-width row suffixes, one per outcome code. Rows end in \\r\\n,
-    as csv.writer's default dialect writes them.
+    Each row is the trial index joined to one of 16 equal-width row
+    suffixes, one per outcome code; rows end in \\r\\n, as csv.writer's
+    default dialect writes them. One _LogRows, sized for a full shard of
+    the widest rows, builds every shard, and each shard is written with one
+    binary write straight from its buffer, so no array is allocated per shard.
     """
     suffixes = [f",{s.left},{s.right},{c.left.value},{c.right.value}\r\n".encode()
                 for s, c, _ in behavior.cells()]
     if len({len(s) for s in suffixes}) != 1:
         raise ValueError("trial log needs setting and outcome labels of equal length")
     table = np.frombuffer(b"".join(suffixes), dtype=np.uint8).reshape(16, -1)
+    rows = _LogRows(table, config.shard_size, len(str(config.trials - 1)))
     total = np.zeros(16, dtype=np.int64)
     start = 0
     with open(path, "wb") as fh:
         fh.write(b"trial,setting_l,setting_r,outcome_l,outcome_r\r\n")
-        for codes in shard_codes(config, behavior, workers=workers):
-            fh.write(_log_rows(start, codes, table))
+        for shard in shard_codes(config, behavior, workers=workers):
+            codes = rows.codes[:len(shard)]
+            codes[...] = shard
+            fh.write(rows(start, codes))
             total += np.bincount(codes, minlength=16)
             start += len(codes)
     return code_table(behavior, total)
@@ -418,7 +487,9 @@ def _seed_int(text: str) -> int:
     return _bounded_int(text, 0, 2 ** 64, "must fit in an unsigned 64-bit integer")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The hardylab parser, built once per process: main() only reads it."""
     parser = _Parser(
         prog="hardylab",
         description="Joint-outcome tables for the Hardy state, a "

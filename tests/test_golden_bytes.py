@@ -12,12 +12,14 @@ import csv
 import hashlib
 import io
 import json
+import os
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import oracles
-from hardylab.cli import _log_rows, _write_trial_log, main
+from hardylab.cli import _LogRows, _write_trial_log, main
 from hardylab.experiment import ExperimentConfig, run_experiment
 from hardylab.qstate import JOINT_OUTCOMES, Behavior, SettingPair, hardy_behavior
 from test_locality import NEAR_VERTEX_ROWS
@@ -357,6 +359,11 @@ def reference_rows(start: int, codes: np.ndarray) -> bytes:
     return "".join(f"{i}{SUFFIXES[c]}" for i, c in enumerate(codes.tolist(), start)).encode()
 
 
+def _log_rows(start: int, codes: np.ndarray, table: np.ndarray) -> bytes:
+    """The rows of one _LogRows call, sized for exactly these codes, joined."""
+    return bytes(_LogRows(table, len(codes), len(str(start + len(codes))))(start, codes))
+
+
 @pytest.mark.parametrize("start", [10 ** k - 3 for k in range(1, 13)] + [2 ** 32 - 10])
 def test_rows_cross_a_power_of_ten(start):
     """20 rows: from 10**k - 3 the index gains a digit after the third row, and
@@ -373,6 +380,45 @@ def test_rows_cover_every_code(start):
 
 def test_no_codes_no_rows():
     assert _log_rows(12345, np.zeros(0, dtype=np.uint8), TABLE) == b""
+
+
+@pytest.mark.parametrize("start, n", [(2 ** 64 - 3, 6), (19_995, 20), (123_456_789_995, 20)])
+def test_rows_past_64_bits_and_across_digit_blocks(start, n):
+    """From 2**64 - 3 the fourth row's index needs 65 bits; from x5 the index
+    crosses a 10 000-aligned block after the fifth row, within one digit run."""
+    codes = np.random.default_rng(start % 2 ** 32).integers(0, 16, n).astype(np.uint8)
+    assert _log_rows(start, codes, TABLE) == reference_rows(start, codes)
+
+
+@pytest.mark.parametrize("digits", [5, 7, 9, 12])
+def test_full_shard_of_rows(digits):
+    """65 536 rows span seven or eight 10 000-blocks."""
+    start = 10 ** (digits - 1) + 4_321
+    codes = np.random.default_rng(digits).integers(0, 16, 65536).astype(np.uint8)
+    assert _log_rows(start, codes, TABLE) == reference_rows(start, codes)
+
+
+@pytest.mark.parametrize("model", ["quantum", "realist"])
+def test_log_peak_memory_does_not_grow_with_shards(model):
+    """The writer's traced peak is one shard's buffers, whatever the shard count.
+
+    24 shards need one more index digit per row than 4 (64 KB more buffer),
+    and up to two shards' codes (64 KB each) may be in flight or not at the
+    peak; a per-shard array kept alive would add its size 20 times over.
+    """
+    def peak(shards):
+        config = ExperimentConfig(trials=shards * 65536, seed=5, model=model)
+        tracemalloc.start()
+        try:
+            _write_trial_log(os.devnull, config, hardy_behavior(), workers=1)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(1)  # process-wide caches, such as the digit table, are built once
+    few, many = peak(4), peak(24)
+    assert many <= few + 2 ** 18
+    assert many < 8 * 2 ** 20
 
 
 def test_log_needs_labels_of_equal_length(tmp_path):
