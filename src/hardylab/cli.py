@@ -161,68 +161,52 @@ def _digit_words(digits: int) -> list[tuple[int, np.ndarray]]:
     return _word_tables((np.arange(10_000)[:, None] // powers % 10 + ord("0")).astype(np.uint8))
 
 
-def _column(buf: np.ndarray, offset: int, stride: int, n: int, size: int) -> np.ndarray:
-    """n little-endian `size`-byte words of buf, the first at offset, `stride` bytes apart."""
-    return np.ndarray((n,), f"<u{size}", buffer=buf, offset=offset, strides=(stride,))
-
-
 class _LogRows:
     """Trial-log row builder whose buffers are allocated once, for `rows` rows of
     at most `digits` index digits.
 
     Row start + r is the trial index in ASCII digits, then table[codes[r]].
-    Every field is stored through 8-, 4-, 2- or 1-byte word views strided by
-    the row width. The last four index digits are copied from a table of the
-    10 000 four-digit groups, one slice per 10 000-aligned block; the digits
-    above them are constant within a block and come from Python's str, so
-    they are exact at any index.
+    The rows are built segment by segment. A segment ends at the last code,
+    the next multiple of 10 000 or the next power of ten, so its indices
+    share one width and one string of digits above the last four, which
+    comes from Python's str and is exact at any index; the last four are one
+    slice of a table of the 10 000 four-digit groups.
     """
 
     def __init__(self, table: np.ndarray, rows: int, digits: int):
         self.suffix_width = table.shape[1]
+        self.suffix = _word_tables(table)
         self.buf = np.empty(rows * (digits + self.suffix_width), dtype=np.uint8)
         self.codes = np.empty(rows, dtype=np.intp)  # gathers and bincount read intp as is
-        self.suffix = [(pos, words, np.empty(rows, dtype=words.dtype))
-                       for pos, words in _word_tables(table)]
-        self.fill = np.empty(10_000, dtype="<u8")  # one block of one high-digit word
+        # aligned: numpy takes into or fills an unaligned strided view 1.5-4x slower
+        self.scratch = np.empty(min(rows, 10_000), dtype="<u8")
 
     def __call__(self, start: int, codes: np.ndarray) -> memoryview:
         """The rows of trials start, start + 1, ... with outcome codes `codes`,
         as one view of the buffer, valid until the next call.
 
-        The rows are laid out in runs of indices with the same number of
-        digits, so a run ends only where the index crosses a power of ten.
+        Each field of a segment is one strided word store: the row-suffix
+        words, gathered into the scratch; the low-digit words, a slice of
+        the digit table; and the high-digit words, filled into the scratch.
         """
-        n = len(codes)
-        for _, words, out in self.suffix:
-            np.take(words, codes, out=out[:n], mode="clip")
-        end = 0
-        lo, stop = start, start + n
-        while lo < stop:
-            digits = len(str(lo))
-            hi = min(stop, 10 ** digits)
-            width = digits + self.suffix_width
-            for pos, words, out in self.suffix:
-                _column(self.buf, end + digits + pos, width, hi - lo, words.itemsize)[...] = \
-                    out[lo - start:hi - start]
-            low = min(digits, 4)
-            a = lo
-            while a < hi:
-                block, skip = divmod(a, 10_000)
-                b = min(hi, a - skip + 10_000)
-                row = end + (a - lo) * width
-                for pos, words in _digit_words(low):
-                    _column(self.buf, row + digits - low + pos, width, b - a,
-                            words.itemsize)[...] = words[skip:skip + b - a]
-                high = str(block).encode() if digits > 4 else b""
-                for pos, size in _words(len(high)):
-                    # numpy fills an unaligned view about 6x slower than it copies into one
-                    words = self.fill.view(f"<u{size}")[:b - a]
-                    words.fill(int.from_bytes(high[pos:pos + size], "little"))
-                    _column(self.buf, row + pos, width, b - a, size)[...] = words
-                a = b
-            end += (hi - lo) * width
-            lo = hi
+        end, a, stop = 0, start, start + len(codes)
+        while a < stop:
+            index, skip = str(a), a % 10_000
+            b = min(stop, a - skip + 10_000, 10 ** len(index))
+            n, width, high = b - a, len(index) + self.suffix_width, index[:-4].encode()
+            column = functools.partial(np.ndarray, (n,), buffer=self.buf, strides=(width,))
+            for pos, words in self.suffix:
+                column(words.dtype, offset=end + len(index) + pos)[...] = np.take(
+                    words, codes[a - start:b - start], mode="clip",
+                    out=self.scratch.view(words.dtype)[:n])
+            for pos, words in _digit_words(len(index) - len(high)):
+                column(words.dtype, offset=end + len(high) + pos)[...] = words[skip:skip + n]
+            for pos, size in _words(len(high)):
+                words = self.scratch.view(f"<u{size}")[:n]
+                words.fill(int.from_bytes(high[pos:pos + size], "little"))
+                column(words.dtype, offset=end + pos)[...] = words
+            end += n * width
+            a = b
         return self.buf.data[:end]
 
 
@@ -233,8 +217,9 @@ def _write_trial_log(path: str, config: ExperimentConfig, behavior: Behavior,
     Each row is the trial index joined to one of 16 equal-width row
     suffixes, one per outcome code; rows end in \\r\\n, as csv.writer's
     default dialect writes them. One _LogRows, sized for a full shard of
-    the widest rows, builds every shard, and each shard is written with one
-    binary write straight from its buffer, so no array is allocated per shard.
+    the widest rows, builds every shard segment by segment in its one row
+    buffer and one scratch, and each shard is written with one binary write
+    straight from the row buffer, so no array is allocated per shard.
     """
     suffixes = [f",{s.left},{s.right},{c.left.value},{c.right.value}\r\n".encode()
                 for s, c, _ in behavior.cells()]

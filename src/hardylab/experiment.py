@@ -196,7 +196,7 @@ def shard_codes(config: ExperimentConfig, behavior: Behavior, *,
         raise ValueError(f"workers must be at least 1, got {workers!r}")
 
     boundaries = _row_boundaries(behavior)
-    n_shards = math.ceil(config.trials / config.shard_size)
+    n_shards = -(-config.trials // config.shard_size)
 
     def shard(k: int) -> np.ndarray:
         size = min(config.shard_size, config.trials - k * config.shard_size)

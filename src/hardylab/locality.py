@@ -89,11 +89,14 @@ def strategy_behavior(strategy: DeterministicStrategy) -> Behavior:
         for i, lab_l in enumerate("12") for j, lab_r in enumerate("12")})
 
 
+# Per strategy, the four cells it picks, one per setting in canonical order:
+# strategy s = 8 l1 + 4 l2 + 2 r1 + r2 (outcome indices) picks, in setting
+# (i, j), the flat cell 4 (2 i + j) + 2 l_i + r_j.
+_STRATEGY_CELLS = [[4 * (2 * i + j) + 2 * (s >> (3 - i) & 1) + (s >> (1 - j) & 1)
+                    for i in (0, 1) for j in (0, 1)] for s in range(16)]
 # Column s holds strategy s's behavior in the canonical flat cell order.
-_VERTICES = np.array([[p for _, _, p in strategy_behavior(strat).cells()]
-                      for strat in deterministic_strategies()]).T.copy()
-# Per strategy, the four cells it picks, one per setting in canonical order.
-_STRATEGY_CELLS = np.nonzero(_VERTICES.T)[1].reshape(16, 4).tolist()
+_VERTICES = np.zeros((16, 16))
+_VERTICES[_STRATEGY_CELLS, np.arange(16)[:, None]] = 1.0
 
 
 # ===========================================================================

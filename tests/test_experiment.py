@@ -218,6 +218,21 @@ class TestRunExperiment:
         assert len(got) == shards
         assert all(np.array_equal(a, b) for a, b in zip(got, expected))
 
+    @pytest.mark.parametrize("trials", [2 ** 53 + 1, 2 ** 60 + 5])
+    def test_shard_count_is_exact_past_float_precision(self, monkeypatch, trials):
+        """Past 2**53 trials the short last shard is still counted and sampled."""
+        calls = []
+
+        def capture(fn, n, workers):
+            calls.append((fn, n))
+            return iter(())
+
+        monkeypatch.setattr(experiment, "_bounded_map", capture)
+        shard_codes(ExperimentConfig(trials=trials, seed=5), hardy_behavior())
+        [(fn, n)] = calls
+        assert n == trials // ExperimentConfig.shard_size + 1
+        assert len(fn(n - 1)) == trials % ExperimentConfig.shard_size
+
     def test_log_omitted_unless_requested(self):
         _, records = run_experiment(ExperimentConfig(trials=100, seed=1),
                                     hardy_behavior())

@@ -398,6 +398,22 @@ def test_full_shard_of_rows(digits):
     assert _log_rows(start, codes, TABLE) == reference_rows(start, codes)
 
 
+def test_one_builder_reused_across_widths():
+    """One builder's buffers and scratch, reused in shuffled order for starts
+    near each power of ten up to 10**20 and near multiples of 10 000."""
+    rng = np.random.default_rng(2024)
+    rows = _LogRows(TABLE, 3000, 21)
+    starts = [max(0, 10 ** k + int(rng.integers(-3000, 3000)))
+              for k in range(1, 21) for _ in range(2)]
+    starts += [10_000 * int(rng.integers(1, 10 ** 15)) + int(rng.integers(-3000, 3000))
+               for _ in range(60)]
+    rng.shuffle(starts)
+    for start in starts:
+        codes = rows.codes[:int(rng.integers(0, 3001))]
+        codes[...] = rng.integers(0, 16, len(codes))
+        assert bytes(rows(start, codes)) == reference_rows(start, codes), start
+
+
 @pytest.mark.parametrize("model", ["quantum", "realist"])
 def test_log_peak_memory_does_not_grow_with_shards(model):
     """The writer's traced peak is one shard's buffers, whatever the shard count.

@@ -110,6 +110,14 @@ class TestDeterministicStrategies:
         assert strategy.joint(0, 0) is JointOutcome.RG
         assert strategy.joint(1, 1) is JointOutcome.GR
 
+    def test_strategy_tables_match_strategy_behaviors(self):
+        """The LP's vertex matrix and each strategy's picked cells, built by
+        index arithmetic, equal those read off the 16 strategy behaviors."""
+        vertices = np.array([[p for _, _, p in strategy_behavior(s).cells()]
+                             for s in deterministic_strategies()]).T
+        np.testing.assert_array_equal(locality._VERTICES, vertices)
+        assert locality._STRATEGY_CELLS == np.nonzero(vertices.T)[1].reshape(16, 4).tolist()
+
 
 # ===========================================================================
 # witness functional
