@@ -138,27 +138,10 @@ def parse_behavior_json(text: str) -> Behavior:
     return Behavior(table)
 
 
-def _words(width: int) -> list[tuple[int, int]]:
-    """(offset, size) of the fewest 8-, 4-, 2- and 1-byte words that tile `width` bytes."""
-    words, pos = [], 0
-    for size in (8, 4, 2, 1):
-        while width - pos >= size:
-            words.append((pos, size))
-            pos += size
-    return words
-
-
-def _word_tables(table: np.ndarray) -> list[tuple[int, np.ndarray]]:
-    """The rows of a (k, width) uint8 table as little-endian words: (offset, k words) each."""
-    return [(pos, np.ascontiguousarray(table[:, pos:pos + size]).view(f"<u{size}").ravel())
-            for pos, size in _words(table.shape[1])]
-
-
 @functools.cache
-def _digit_words(digits: int) -> list[tuple[int, np.ndarray]]:
-    """The last `digits` (at most 4) ASCII digits of 0, ..., 9999, as word tables."""
-    powers = 10 ** np.arange(digits - 1, -1, -1)
-    return _word_tables((np.arange(10_000)[:, None] // powers % 10 + ord("0")).astype(np.uint8))
+def _digit_groups(digits: int) -> np.ndarray:
+    """The last `digits` (at most 4) ASCII digits of 0, ..., 9999."""
+    return np.array([f"{i:04d}"[4 - digits:] for i in range(10_000)], dtype=f"S{digits}")
 
 
 class _LogRows:
@@ -174,38 +157,30 @@ class _LogRows:
     """
 
     def __init__(self, table: np.ndarray, rows: int, digits: int):
-        self.suffix_width = table.shape[1]
-        self.suffix = _word_tables(table)
-        self.buf = np.empty(rows * (digits + self.suffix_width), dtype=np.uint8)
-        self.codes = np.empty(rows, dtype=np.intp)  # gathers and bincount read intp as is
-        # aligned: numpy takes into or fills an unaligned strided view 1.5-4x slower
-        self.scratch = np.empty(min(rows, 10_000), dtype="<u8")
+        self.suffix = table.view(f"S{table.shape[1]}").ravel()
+        self.buf = np.empty(rows * (digits + self.suffix.itemsize), dtype=np.uint8)
+        self.codes = np.empty(rows, dtype=np.intp)  # take and bincount read intp as is
 
     def __call__(self, start: int, codes: np.ndarray) -> memoryview:
         """The rows of trials start, start + 1, ... with outcome codes `codes`,
         as one view of the buffer, valid until the next call.
 
-        Each field of a segment is one strided word store: the row-suffix
-        words, gathered into the scratch; the low-digit words, a slice of
-        the digit table; and the high-digit words, filled into the scratch.
+        Each segment is one record view of the buffer whose high-digit,
+        low-digit and suffix fields are each filled by one assignment.
         """
         end, a, stop = 0, start, start + len(codes)
         while a < stop:
             index, skip = str(a), a % 10_000
             b = min(stop, a - skip + 10_000, 10 ** len(index))
-            n, width, high = b - a, len(index) + self.suffix_width, index[:-4].encode()
-            column = functools.partial(np.ndarray, (n,), buffer=self.buf, strides=(width,))
-            for pos, words in self.suffix:
-                column(words.dtype, offset=end + len(index) + pos)[...] = np.take(
-                    words, codes[a - start:b - start], mode="clip",
-                    out=self.scratch.view(words.dtype)[:n])
-            for pos, words in _digit_words(len(index) - len(high)):
-                column(words.dtype, offset=end + len(high) + pos)[...] = words[skip:skip + n]
-            for pos, size in _words(len(high)):
-                words = self.scratch.view(f"<u{size}")[:n]
-                words.fill(int.from_bytes(high[pos:pos + size], "little"))
-                column(words.dtype, offset=end + pos)[...] = words
-            end += n * width
+            high, low = index[:-4].encode(), _digit_groups(min(len(index), 4))
+            fields = [("high", f"S{len(high)}")] if high else []
+            fields += [("low", low.dtype), ("suffix", self.suffix.dtype)]
+            rec = np.ndarray(b - a, dtype=fields, buffer=self.buf, offset=end)
+            if high:
+                rec["high"] = high
+            rec["low"] = low[skip:skip + b - a]
+            rec["suffix"] = self.suffix.take(codes[a - start:b - start])
+            end += rec.nbytes
             a = b
         return self.buf.data[:end]
 
@@ -217,9 +192,9 @@ def _write_trial_log(path: str, config: ExperimentConfig, behavior: Behavior,
     Each row is the trial index joined to one of 16 equal-width row
     suffixes, one per outcome code; rows end in \\r\\n, as csv.writer's
     default dialect writes them. One _LogRows, sized for a full shard of
-    the widest rows, builds every shard segment by segment in its one row
-    buffer and one scratch, and each shard is written with one binary write
-    straight from the row buffer, so no array is allocated per shard.
+    the widest rows, builds every shard in its one row buffer, and each
+    shard is written with one binary write straight from it. No array is
+    sized per shard; each segment's suffix gather is at most 10 000 suffixes.
     """
     suffixes = [f",{s.left},{s.right},{c.left.value},{c.right.value}\r\n".encode()
                 for s, c, _ in behavior.cells()]

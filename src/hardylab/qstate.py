@@ -5,9 +5,9 @@ spin axes "z"/"x"). Joint outcomes are named by a letter per side, R or G,
 with R doubling as spin "+" and G as spin "-". Amplitude vectors and
 probability rows always use the canonical cell order (RR, RG, GR, GG).
 
-Tolerances: constructors accept norms and row sums off by at most 1e-9 and
-renormalize; internal equality checks use 1e-12. Probabilities below 1e-12
-are treated as structural zeros.
+Tolerances: norms and weight or row sums may be off by at most 1e-9; states
+and mixtures renormalize, a Behavior only clamps cells to [0, 1]. Equality
+checks use 1e-12; born_table and mixture_behavior zero probabilities below it.
 """
 from __future__ import annotations
 

@@ -25,6 +25,10 @@ from hardylab.qstate import JOINT_OUTCOMES, Behavior, SettingPair, hardy_behavio
 from test_locality import NEAR_VERTEX_ROWS
 
 SEEDS = (7, 12345678901234567890)
+# Every cell reachable, with two-character setting labels: the trial log's
+# rows then have a suffix width other than the Hardy behavior's.
+WIDE_BEHAVIOR = Behavior({SettingPair(a, b): {c: 0.25 for c in JOINT_OUTCOMES}
+                          for a in ("10", "11") for b in ("20", "21")})
 TRIALS = (1, 65535, 65536, 65537)  # below, at and past the default shard size
 
 # (model, seed, trials) -> (sha256 of the --log CSV, sha256 of --format json stdout)
@@ -127,12 +131,15 @@ def test_bytes_pinned_across_digit_widths(capsys, tmp_path, model, trials, worke
     assert (sha256(log.read_bytes()), sha256(stdout)) == WIDE_DIGESTS[model, trials]
 
 
-@pytest.mark.parametrize("model", ["quantum", "realist"])
-def test_log_matches_csv_writer_over_records(tmp_path, model, monkeypatch):
+@pytest.mark.parametrize("model, behavior", [
+    pytest.param("quantum", hardy_behavior(), id="quantum"),
+    pytest.param("realist", hardy_behavior(), id="realist"),
+    pytest.param("quantum", WIDE_BEHAVIOR, id="quantum-wide"),
+])
+def test_log_matches_csv_writer_over_records(tmp_path, model, behavior, monkeypatch):
     """The streamed log equals csv.writer over the collected trial records."""
     monkeypatch.setattr(ExperimentConfig, "shard_size", 512)
     config = ExperimentConfig(trials=5000, seed=31, model=model)
-    behavior = hardy_behavior()
     _, records = run_experiment(config, behavior, collect_trials=True)
     expected = io.StringIO(newline="")
     writer = csv.writer(expected)
@@ -350,13 +357,28 @@ def test_check_local_bytes_are_pinned(capsys, tmp_path, name):
 # the row builder
 # ===========================================================================
 
-SUFFIXES = [f",{s.left},{s.right},{c.left.value},{c.right.value}\r\n"
-            for s in hardy_behavior().settings for c in JOINT_OUTCOMES]
-TABLE = np.frombuffer("".join(SUFFIXES).encode(), dtype=np.uint8).reshape(16, -1)
+def suffix_rows(behavior: Behavior) -> list[str]:
+    return [f",{s.left},{s.right},{c.left.value},{c.right.value}\r\n"
+            for s in behavior.settings for c in JOINT_OUTCOMES]
 
 
-def reference_rows(start: int, codes: np.ndarray) -> bytes:
-    return "".join(f"{i}{SUFFIXES[c]}" for i, c in enumerate(codes.tolist(), start)).encode()
+def suffix_table(suffixes: list[str]) -> np.ndarray:
+    return np.frombuffer("".join(suffixes).encode(), dtype=np.uint8).reshape(16, -1)
+
+
+SUFFIXES = suffix_rows(hardy_behavior())
+TABLE = suffix_table(SUFFIXES)
+WIDE_SUFFIXES = suffix_rows(WIDE_BEHAVIOR)  # 12 bytes a row, against Hardy's 10
+
+
+def with_wide_suffixes(values: list[int]) -> list:
+    """Each value with the Hardy suffixes under its own id, then with the wide ones."""
+    return ([pytest.param(v, SUFFIXES, id=str(v)) for v in values]
+            + [pytest.param(v, WIDE_SUFFIXES, id=f"{v}-wide") for v in values])
+
+
+def reference_rows(start: int, codes: np.ndarray, suffixes: list[str] = SUFFIXES) -> bytes:
+    return "".join(f"{i}{suffixes[c]}" for i, c in enumerate(codes.tolist(), start)).encode()
 
 
 def _log_rows(start: int, codes: np.ndarray, table: np.ndarray) -> bytes:
@@ -364,12 +386,13 @@ def _log_rows(start: int, codes: np.ndarray, table: np.ndarray) -> bytes:
     return bytes(_LogRows(table, len(codes), len(str(start + len(codes))))(start, codes))
 
 
-@pytest.mark.parametrize("start", [10 ** k - 3 for k in range(1, 13)] + [2 ** 32 - 10])
-def test_rows_cross_a_power_of_ten(start):
+@pytest.mark.parametrize(
+    "start, suffixes", with_wide_suffixes([10 ** k - 3 for k in range(1, 13)] + [2 ** 32 - 10]))
+def test_rows_cross_a_power_of_ten(start, suffixes):
     """20 rows: from 10**k - 3 the index gains a digit after the third row, and
     from 2**32 - 10 it passes the largest 32-bit value."""
     codes = np.random.default_rng(start).integers(0, 16, 20).astype(np.uint8)
-    assert _log_rows(start, codes, TABLE) == reference_rows(start, codes)
+    assert _log_rows(start, codes, suffix_table(suffixes)) == reference_rows(start, codes, suffixes)
 
 
 @pytest.mark.parametrize("start", [0, 990])
@@ -390,12 +413,12 @@ def test_rows_past_64_bits_and_across_digit_blocks(start, n):
     assert _log_rows(start, codes, TABLE) == reference_rows(start, codes)
 
 
-@pytest.mark.parametrize("digits", [5, 7, 9, 12])
-def test_full_shard_of_rows(digits):
+@pytest.mark.parametrize("digits, suffixes", with_wide_suffixes([5, 7, 9, 12]))
+def test_full_shard_of_rows(digits, suffixes):
     """65 536 rows span seven or eight 10 000-blocks."""
     start = 10 ** (digits - 1) + 4_321
     codes = np.random.default_rng(digits).integers(0, 16, 65536).astype(np.uint8)
-    assert _log_rows(start, codes, TABLE) == reference_rows(start, codes)
+    assert _log_rows(start, codes, suffix_table(suffixes)) == reference_rows(start, codes, suffixes)
 
 
 def test_one_builder_reused_across_widths():
