@@ -20,7 +20,7 @@ import os
 from collections import deque
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, ClassVar, Iterator, Mapping, NamedTuple
+from typing import Callable, ClassVar, Iterator, Mapping
 
 import numpy as np
 
@@ -74,14 +74,6 @@ class ExperimentConfig:
             raise ValueError(f"model must be one of {MODELS}, got {self.model!r}")
 
 
-class TrialRecord(NamedTuple):
-    """One measurement: global trial index, chosen setting, revealed outcome."""
-
-    index: int
-    setting: SettingPair
-    outcome: JointOutcome
-
-
 @dataclass(frozen=True, eq=False)
 class FrequencyTable:
     """Integer outcome counts per setting; missing cells count as zero."""
@@ -92,10 +84,13 @@ class FrequencyTable:
         clean: dict[SettingPair, dict[JointOutcome, int]] = {}
         for setting in sorted(SettingPair(*s) for s in self.counts):
             row = self.counts[setting]
+            unknown = [c for c in row if c not in JOINT_OUTCOMES]
+            if unknown:
+                raise ValueError(f"setting {setting} has unknown cells {unknown}")
             out_row = {}
             for cell in JOINT_OUTCOMES:
                 n = row.get(cell, 0)
-                if not isinstance(n, (int, np.integer)) or n < 0:
+                if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n < 0:
                     raise ValueError(
                         f"count for {setting.key}:{cell.value} must be a "
                         f"nonnegative integer, got {n!r}")
@@ -232,25 +227,23 @@ def code_table(behavior: Behavior, counts: np.ndarray) -> FrequencyTable:
 
 def run_experiment(config: ExperimentConfig, behavior: Behavior, *,
                    workers: int = 1, collect_trials: bool = False,
-                   ) -> tuple[FrequencyTable, list[TrialRecord] | None]:
+                   ) -> tuple[FrequencyTable, np.ndarray | None]:
     """Run seeded trials against a behavior's rows.
 
     Each trial picks each side's label uniformly at random, then either
     draws the joint outcome from that setting's row (quantum) or draws a
     fresh full assignment and reveals the chosen setting (realist). Returns
-    the counts and, when collect_trials is set, the per-trial log.
+    the counts and, when collect_trials is set, the run's outcome codes: one
+    uint8 array in trial order, the shards of shard_codes concatenated. The
+    trial index is the position, and code k decodes as the k-th triple of
+    behavior.cells(): setting, cell, _ = list(behavior.cells())[k].
     """
     shards = shard_codes(config, behavior, workers=workers)  # validates the grid
-    cells = [(setting, cell) for setting, cell, _ in behavior.cells()]
+    codes = np.concatenate(list(shards)) if collect_trials else None
     total = np.zeros(16, dtype=np.int64)
-    records: list[TrialRecord] = []
-    for codes in shards:
-        total += np.bincount(codes, minlength=16)
-        if collect_trials:
-            start = len(records)
-            records.extend(TrialRecord(start + i, *cells[code])
-                           for i, code in enumerate(codes.tolist()))
-    return code_table(behavior, total), (records if collect_trials else None)
+    for shard in shards if codes is None else [codes]:
+        total += np.bincount(shard, minlength=16)
+    return code_table(behavior, total), codes
 
 
 # ===========================================================================

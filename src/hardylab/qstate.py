@@ -245,6 +245,9 @@ class Behavior:
             missing = [c.value for c in JOINT_OUTCOMES if c not in row]
             if missing:
                 raise ValueError(f"setting {setting} is missing cells {missing}")
+            unknown = [c for c in row if c not in JOINT_OUTCOMES]
+            if unknown:
+                raise ValueError(f"setting {setting} has unknown cells {unknown}")
             out_row: dict[JointOutcome, float] = {}
             for cell in JOINT_OUTCOMES:
                 p = float(row[cell])

@@ -113,7 +113,7 @@ class TestRunExperiment:
         multi, log_multi = run_experiment(config, hardy_behavior(),
                                           workers=workers, collect_trials=True)
         assert counts_of(base) == counts_of(multi)
-        assert log_base == log_multi
+        assert np.array_equal(log_base, log_multi)
 
     def test_different_seeds_differ(self):
         freq_a, _ = run_experiment(ExperimentConfig(trials=20000, seed=1),
@@ -149,13 +149,29 @@ class TestRunExperiment:
     def test_trial_log_indices_are_global_and_ordered(self, monkeypatch):
         monkeypatch.setattr(ExperimentConfig, "shard_size", 512)
         config = ExperimentConfig(trials=5000, seed=31)
-        freq, records = run_experiment(config, hardy_behavior(), collect_trials=True)
-        assert records is not None
-        assert [r.index for r in records] == list(range(5000))
+        behavior = hardy_behavior()
+        freq, codes = run_experiment(config, behavior, collect_trials=True)
+        assert codes is not None and len(codes) == 5000
+        cells = list(behavior.cells())
         tally = {s: {c: 0 for c in JOINT_OUTCOMES} for s in freq.settings}
-        for r in records:
-            tally[r.setting][r.outcome] += 1
-        assert {s: t for s, t in tally.items()} == dict(freq.counts)
+        for code in codes.tolist():
+            setting, cell, _ = cells[code]
+            tally[setting][cell] += 1
+        assert tally == dict(freq.counts)
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    @pytest.mark.parametrize("model", ["quantum", "realist"])
+    def test_collected_codes_are_the_concatenated_shards(self, monkeypatch, model, workers):
+        """collect_trials returns one uint8 code per trial, in shard order, that
+        the returned counts tally; the last shard here is a partial one."""
+        monkeypatch.setattr(ExperimentConfig, "shard_size", 512)
+        config = ExperimentConfig(trials=5 * 512 + 77, seed=41, model=model)
+        behavior = hardy_behavior()
+        freq, codes = run_experiment(config, behavior, workers=workers, collect_trials=True)
+        assert codes.dtype == np.uint8 and len(codes) == config.trials
+        assert np.array_equal(codes, np.concatenate(list(shard_codes(config, behavior))))
+        assert np.array_equal(np.bincount(codes, minlength=16),
+                              [n for row in freq.counts.values() for n in row.values()])
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_shards_run_at_most_two_per_worker_ahead(self, monkeypatch, workers):
@@ -404,6 +420,15 @@ class TestFrequencyTable:
     def test_rejects_negative_count(self):
         with pytest.raises(ValueError, match="nonnegative"):
             FrequencyTable({SettingPair("1", "1"): {JointOutcome.RR: -1}})
+
+    def test_rejects_unknown_cells(self):
+        with pytest.raises(ValueError, match=r"unknown cells \['RG'\]"):
+            FrequencyTable({SettingPair("1", "1"): {"RG": 5, JointOutcome.GG: 2}})
+
+    @pytest.mark.parametrize("flag", [True, np.True_, False])
+    def test_rejects_boolean_counts(self, flag):
+        with pytest.raises(ValueError, match="nonnegative integer"):
+            FrequencyTable({SettingPair("1", "1"): {JointOutcome.RR: flag}})
 
     def test_plain_tuple_keys_become_setting_pairs(self):
         freq = FrequencyTable({("2", "1"): {JointOutcome.GG: 2}, ("1", "1"): {JointOutcome.RR: 5}})

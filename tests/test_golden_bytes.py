@@ -137,16 +137,17 @@ def test_bytes_pinned_across_digit_widths(capsys, tmp_path, model, trials, worke
     pytest.param("quantum", WIDE_BEHAVIOR, id="quantum-wide"),
 ])
 def test_log_matches_csv_writer_over_records(tmp_path, model, behavior, monkeypatch):
-    """The streamed log equals csv.writer over the collected trial records."""
+    """The streamed log equals csv.writer over the collected trial codes."""
     monkeypatch.setattr(ExperimentConfig, "shard_size", 512)
     config = ExperimentConfig(trials=5000, seed=31, model=model)
-    _, records = run_experiment(config, behavior, collect_trials=True)
+    _, codes = run_experiment(config, behavior, collect_trials=True)
+    cells = [(setting.left, setting.right, cell.left.value, cell.right.value)
+             for setting, cell, _ in behavior.cells()]
     expected = io.StringIO(newline="")
     writer = csv.writer(expected)
     writer.writerow(["trial", "setting_l", "setting_r", "outcome_l", "outcome_r"])
-    for rec in records:
-        writer.writerow([rec.index, rec.setting.left, rec.setting.right,
-                         rec.outcome.left.value, rec.outcome.right.value])
+    for i, code in enumerate(codes.tolist()):
+        writer.writerow((i, *cells[code]))
 
     log = tmp_path / "log.csv"
     freq = _write_trial_log(str(log), config, behavior, workers=2)
@@ -422,7 +423,7 @@ def test_full_shard_of_rows(digits, suffixes):
 
 
 def test_one_builder_reused_across_widths():
-    """One builder's buffers and scratch, reused in shuffled order for starts
+    """One builder's buffers, reused in shuffled order for starts
     near each power of ten up to 10**20 and near multiples of 10 000."""
     rng = np.random.default_rng(2024)
     rows = _LogRows(TABLE, 3000, 21)

@@ -292,6 +292,19 @@ class TestBehaviorValidation:
         with pytest.raises(ValueError, match="missing cells"):
             Behavior(table)
 
+    def test_rejects_unknown_cell(self):
+        table = uniform_table()
+        table[SettingPair("2", "1")]["GG"] = 0.9
+        with pytest.raises(ValueError, match=r"\(2,1\) has unknown cells \['GG'\]"):
+            Behavior(table)
+
+    def test_missing_cells_reported_before_unknown_ones(self):
+        table = uniform_table()
+        row = table[SettingPair("2", "1")]
+        row["GG"] = row.pop(JointOutcome.GG)
+        with pytest.raises(ValueError, match="missing cells"):
+            Behavior(table)
+
     def test_settings_come_back_sorted(self):
         table = dict(reversed(list(uniform_table().items())))
         beh = Behavior(table)
