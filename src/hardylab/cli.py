@@ -3,7 +3,7 @@
 Subcommands: tables, simulate, interpret, check-local, mixture-compare.
 Exit codes: 0 success / statistical pass, 1 usage or input errors, 2 for a
 negative analytic verdict (failed simulation comparison, behavior outside
-the local polytope).
+the local polytope), 130 when interrupted (Ctrl-C).
 
 All floats in JSON and text output carry at most 12 significant digits, and
 output bytes depend only on the arguments, never on worker count or timing.
@@ -31,6 +31,7 @@ from .experiment import (
 )
 from .locality import HARDY_SETTINGS, local_membership
 from .qstate import (
+    EQ_TOL,
     JOINT_OUTCOMES,
     Behavior,
     JointOutcome,
@@ -204,9 +205,10 @@ def _write_trial_log(path: str, config: ExperimentConfig, behavior: Behavior,
     rows = _LogRows(table, config.shard_size, len(str(config.trials - 1)))
     total = np.zeros(16, dtype=np.int64)
     start = 0
+    shards = shard_codes(config, behavior, workers=workers)  # raises before open() truncates the log
     with open(path, "wb") as fh:
         fh.write(b"trial,setting_l,setting_r,outcome_l,outcome_r\r\n")
-        for shard in shard_codes(config, behavior, workers=workers):
+        for shard in shards:
             codes = rows.codes[:len(shard)]
             codes[...] = shard
             fh.write(rows(start, codes))
@@ -234,7 +236,7 @@ def cmd_tables(args: argparse.Namespace) -> int:
         cells = []
         for cell in JOINT_OUTCOMES:
             amp = rebased.amplitude(cell)
-            if abs(amp) < 1e-12:  # display the structural zeros as such
+            if abs(amp) < EQ_TOL:  # display the structural zeros as such
                 amp = 0.0
             cells.append({
                 "outcome": cell.value,
@@ -355,7 +357,7 @@ def cmd_check_local(args: argparse.Namespace) -> int:
         if result.weights is not None:
             print("strategy weights (nonzero):")
             for idx, w in enumerate(result.weights):
-                if w > 1e-12:
+                if w > EQ_TOL:
                     print(f"  {idx:2d}: {_fmt(w)}")
         if result.witness is not None:
             print(f"witness value: {_fmt(result.witness.value)}")
@@ -505,6 +507,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (OSError, ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except KeyboardInterrupt:
+        print("error: interrupted", file=sys.stderr)
+        return 130
     except ModuleNotFoundError as exc:
         # scipy is imported on check-local's first LP, not at start-up
         print(f"error: {args.command} could not import {exc.name}: {exc}", file=sys.stderr)

@@ -300,11 +300,11 @@ class ComparisonReport:
 def compare_tables(freq: FrequencyTable, behavior: Behavior) -> ComparisonReport:
     """Judge observed counts against a behavior's rows.
 
-    Pass requires every regular cell's |z| at most Z_LIMIT, zero counts on
-    every structural-zero cell (those can never occur, so one hit fails the
-    run outright), and a total chi-square below the 1-1e-6 quantile for the
-    summed degrees of freedom. Settings with no trials are excluded from all
-    three checks and flagged.
+    Pass requires every regular cell's |z| at most Z_LIMIT, exact counts on
+    every structural cell (a p = 0 cell can never occur, so one hit fails the
+    run outright; a p = 1 cell takes every trial), and a total chi-square at
+    most the 1-1e-6 quantile for the summed degrees of freedom. Settings with
+    no trials are excluded from all three checks and flagged.
     """
     extra = set(freq.settings) - set(behavior.settings)
     if extra:
@@ -317,42 +317,31 @@ def compare_tables(freq: FrequencyTable, behavior: Behavior) -> ComparisonReport
     chi_square = 0.0
     dof = 0
     max_abs_z = 0.0
-    all_ok = True
 
-    for setting in behavior.settings:
+    for setting, row in behavior.table.items():
         total = freq.setting_total(setting)
         if total == 0:
             empty.append(setting)
             continue
-        row = behavior.table[setting]
-        dof += sum(1 for c in JOINT_OUTCOMES if row[c] > 0.0) - 1
-        for cell in JOINT_OUTCOMES:
-            p = row[cell]
+        dof -= 1  # one degree per setting goes to its fixed total
+        for cell, p in row.items():
             n = freq.count(setting, cell)
             f = n / total
-            if p <= 0.0:
-                z = None
-                ok = n == 0
-            elif p >= 1.0:
-                z = None
-                ok = n == total
-            else:
+            if 0.0 < p < 1.0:
                 z = (f - p) * math.sqrt(total) / math.sqrt(p * (1.0 - p))
                 max_abs_z = max(max_abs_z, abs(z))
                 ok = abs(z) <= Z_LIMIT
+            else:  # structural: p = 0 never occurs, p = 1 always does
+                z = None
+                ok = n == (total if p else 0)
             if p > 0.0:
+                dof += 1
                 chi_square += (n - total * p) ** 2 / (total * p)
-            all_ok = all_ok and ok
             cells.append(CellComparison(setting, cell, p, n, f, z, ok))
 
-    if dof > 0:
-        try:
-            limit = CHI2_LIMIT_1E6[dof]
-        except KeyError:
-            raise ValueError(f"no chi-square limit frozen for dof {dof}") from None
-    else:
-        limit = 0.0
-    all_ok = all_ok and chi_square <= limit
+    if dof and dof not in CHI2_LIMIT_1E6:
+        raise ValueError(f"no chi-square limit frozen for dof {dof}")
+    limit = CHI2_LIMIT_1E6.get(dof, 0.0)
 
     return ComparisonReport(
         cells=tuple(cells),
@@ -361,5 +350,5 @@ def compare_tables(freq: FrequencyTable, behavior: Behavior) -> ComparisonReport
         chi_square_limit=limit,
         max_abs_z=max_abs_z,
         empty_settings=tuple(empty),
-        passed=all_ok,
+        passed=all(c.ok for c in cells) and chi_square <= limit,
     )

@@ -32,6 +32,7 @@ from typing import Any
 import numpy as np
 
 from .qstate import (
+    EQ_TOL,
     JOINT_OUTCOMES,
     OUTCOMES,
     Behavior,
@@ -292,7 +293,7 @@ def local_membership(behavior: Behavior) -> MembershipResult:
             if value - det_max >= WITNESS_TOL:
                 witness = WitnessCertificate(
                     {(s, c): float(coef) for (s, c, _), coef in zip(cells, f)
-                     if abs(coef) > 1e-12},
+                     if abs(coef) > EQ_TOL},
                     value, det_max)
                 return MembershipResult("infeasible", residual, witness=witness)
         weights, residual = _fit_weights(b, lps.tight)

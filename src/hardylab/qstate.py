@@ -52,7 +52,7 @@ class JointOutcome(enum.Enum):
     index: int  # position in the canonical cell order (RR, RG, GR, GG)
 
     def __init__(self, value: str) -> None:
-        # Built once per member: the samplers read these per assignment.
+        # Computed once per member, when the enum class is built.
         self.left = Outcome(value[0])
         self.right = Outcome(value[1])
         self.index = 2 * self.left.index + self.right.index

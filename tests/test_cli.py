@@ -27,6 +27,16 @@ def run_usage_error(capsys, *argv: str) -> str:
     return capsys.readouterr().err
 
 
+def assert_interrupted(capsys, *argv: str) -> None:
+    """Ctrl-C exits 130 with one stderr line and no traceback."""
+    try:
+        code, _, err = run_cli(capsys, *argv)
+    except KeyboardInterrupt:  # escaping main, it would end the whole test session
+        pytest.fail("KeyboardInterrupt escaped main")
+    assert code == 130
+    assert err == "error: interrupted\n"
+
+
 # ===========================================================================
 # tables
 # ===========================================================================
@@ -123,6 +133,29 @@ class TestSimulate:
         code, out, _ = run_cli(capsys, "simulate", "--trials", "1000")
         assert code == 2
         assert "verdict: FAIL" in out
+
+    def test_interrupt_prints_one_line(self, capsys, monkeypatch):
+        import hardylab.cli as cli
+
+        def interrupted(*args, **kwargs):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(cli, "run_experiment", interrupted)
+        assert_interrupted(capsys, "simulate", "--trials", "1000")
+
+    def test_interrupt_while_logging_prints_one_line(self, capsys, monkeypatch, tmp_path):
+        import hardylab.cli as cli
+        real = cli.shard_codes
+
+        def interrupted_at_second_shard(*args, **kwargs):
+            for k, shard in enumerate(real(*args, **kwargs)):
+                if k == 1:
+                    raise KeyboardInterrupt
+                yield shard
+
+        monkeypatch.setattr(cli, "shard_codes", interrupted_at_second_shard)
+        assert_interrupted(capsys, "simulate", "--trials", str(2 * 65536),
+                           "--log", str(tmp_path / "log.csv"))
 
     def test_rejects_zero_trials(self, capsys):
         err = run_usage_error(capsys, "simulate", "--trials", "0")

@@ -4,6 +4,7 @@ from __future__ import annotations
 import bisect
 import dataclasses
 import itertools
+import math
 import threading
 import time
 import tracemalloc
@@ -480,6 +481,57 @@ class TestCompareTables:
         bad = [c for c in report.cells
                if c.setting == SettingPair("1", "1") and c.cell is JointOutcome.RR]
         assert bad[0].z is None and not bad[0].ok
+
+    def test_stray_count_on_certain_cell_fails(self):
+        """A p = 1 cell with one trial elsewhere fails, and has no score."""
+        certain = {c: float(c is JointOutcome.RG) for c in JOINT_OUTCOMES}
+        behavior = Behavior({SettingPair("1", "1"): certain})
+        freq = FrequencyTable({SettingPair("1", "1"): {JointOutcome.RG: 99,
+                                                       JointOutcome.GG: 1}})
+        report = compare_tables(freq, behavior)
+        assert not report.passed
+        rg = [c for c in report.cells if c.cell is JointOutcome.RG][0]
+        assert rg.z is None and not rg.ok
+
+    def test_deterministic_rows_have_no_degrees_of_freedom(self):
+        """Rows of one certain cell each give dof 0, limit 0.0; exact counts pass."""
+        table = {SettingPair(l, r): {c: float(c is cell) for c in JOINT_OUTCOMES}
+                 for (l, r), cell in zip(itertools.product("12", "12"), JOINT_OUTCOMES)}
+        behavior = Behavior(table)
+        freq = FrequencyTable({s: {c: round(p * 250) for c, p in row.items()}
+                               for s, row in behavior.table.items()})
+        report = compare_tables(freq, behavior)
+        assert (report.dof, report.chi_square_limit, report.chi_square) == (0, 0.0, 0.0)
+        assert all(c.z is None and c.ok for c in report.cells)
+        assert report.passed
+
+    def test_chi_square_alone_can_fail(self):
+        """Every |z| within Z_LIMIT, yet the summed chi-square is past its limit.
+
+        Each Hardy row at 40 000 trials moves 3.5 sigma of its first regular
+        cell's counts out of its second regular cell.
+        """
+        behavior = hardy_behavior()
+        table = {}
+        for s, row in exact_counts(behavior, 40000).counts.items():
+            p = behavior.table[s]
+            first, second = [c for c in JOINT_OUTCOMES if 0.0 < p[c] < 1.0][:2]
+            shift = math.floor(3.5 * math.sqrt(40000 * p[first] * (1.0 - p[first])))
+            table[s] = {**row, first: row[first] + shift, second: row[second] - shift}
+        report = compare_tables(FrequencyTable(table), behavior)
+        assert all(c.ok for c in report.cells)
+        assert report.max_abs_z == pytest.approx(4.92, abs=0.005)
+        assert report.chi_square == pytest.approx(70.6, abs=0.05)
+        assert report.chi_square_limit == CHI2_LIMIT_1E6[9]
+        assert not report.passed
+
+    def test_dof_past_frozen_limits_is_an_error(self):
+        """Seven settings of four nonzero cells each need a dof 21 limit."""
+        uniform = {c: 0.25 for c in JOINT_OUTCOMES}
+        settings = [SettingPair(str(k), "1") for k in range(1, 8)]
+        freq = FrequencyTable({s: {c: 10 for c in JOINT_OUTCOMES} for s in settings})
+        with pytest.raises(ValueError, match="no chi-square limit frozen for dof 21"):
+            compare_tables(freq, Behavior({s: uniform for s in settings}))
 
     def test_empty_setting_is_flagged_not_failed(self):
         freq = exact_counts(hardy_behavior(), 40000)

@@ -468,3 +468,16 @@ def test_log_needs_labels_of_equal_length(tmp_path):
     with pytest.raises(ValueError, match="equal length"):
         _write_trial_log(str(log), ExperimentConfig(trials=10, seed=1), behavior, workers=1)
     assert not log.exists()
+
+
+@pytest.mark.parametrize("settings, workers", [(("11", "12", "21", "31"), 1),
+                                               (("11", "12", "21", "22"), 0)])
+def test_rejected_log_leaves_old_file_intact(tmp_path, settings, workers):
+    """A behavior off the 2x2 grid, or no workers, is refused before the log opens."""
+    uniform = {c: 0.25 for c in JOINT_OUTCOMES}
+    behavior = Behavior({SettingPair(*key): uniform for key in settings})
+    log = tmp_path / "log.csv"
+    log.write_bytes(b"old,log\r\n0,1,1,R,G\r\n")
+    with pytest.raises(ValueError):
+        _write_trial_log(str(log), ExperimentConfig(trials=10, seed=1), behavior, workers)
+    assert log.read_bytes() == b"old,log\r\n0,1,1,R,G\r\n"
