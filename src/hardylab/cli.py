@@ -81,8 +81,6 @@ def _fmt(x: float) -> str:
 
 def _round12(obj: Any) -> Any:
     """Clamp every float in a JSON-ready structure to 12 significant digits."""
-    if isinstance(obj, bool):
-        return obj
     if isinstance(obj, float):
         return float(f"{obj:.12g}")
     if isinstance(obj, dict):
@@ -217,10 +215,6 @@ def _write_trial_log(path: str, config: ExperimentConfig, behavior: Behavior,
     return code_table(behavior, total)
 
 
-def _builtin_changes():
-    return (zx_change(), hardy_basis_change())
-
-
 # ===========================================================================
 # subcommands
 # ===========================================================================
@@ -305,7 +299,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 def cmd_interpret(args: argparse.Namespace) -> int:
     state = _STATES[args.state]()
     setting = SettingPair(args.basis[0], args.basis[1])
-    changes = _builtin_changes()
+    changes = (zx_change(), hardy_basis_change())
     rebased = rebase_state_to(state, setting, changes)
     candidates = enumerate_preexisting(rebased)
 

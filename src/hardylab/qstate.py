@@ -144,10 +144,6 @@ class BasisChange:
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
 
-    def inverse(self) -> BasisChange:
-        # orthogonal, so the transpose maps back
-        return BasisChange(self.to_basis, self.from_basis, self.matrix.T.copy())
-
 
 def rebasis(state: TwoQubitState, left: BasisChange | None = None,
             right: BasisChange | None = None) -> TwoQubitState:
@@ -315,18 +311,13 @@ def resolve_change(from_basis: BasisLabel, to_basis: BasisLabel,
                    changes: Iterable[BasisChange]) -> BasisChange | None:
     """Find a change mapping from_basis to to_basis; None means identity.
 
-    Direct matches are preferred; an inverse of a supplied change also counts
-    since the matrices are orthogonal.
+    A change is used only in the direction it was given, never inverted.
     """
     if from_basis == to_basis:
         return None
-    pool = list(changes)
-    for c in pool:
+    for c in changes:
         if c.from_basis == from_basis and c.to_basis == to_basis:
             return c
-    for c in pool:
-        if c.from_basis == to_basis and c.to_basis == from_basis:
-            return c.inverse()
     raise ValueError(f"no basis change available from {from_basis!r} to {to_basis!r}")
 
 

@@ -14,18 +14,16 @@ checkable question.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .qstate import (
     JOINT_OUTCOMES,
-    BasisChange,
     JointOutcome,
     Outcome,
     ProductState,
     SettingPair,
     TwoQubitState,
     born_table,
-    rebase_state_to,
 )
 
 CANDIDATE_TOL = 1e-9  # probability match tolerance when comparing candidate sets
@@ -67,25 +65,6 @@ def same_candidates(first: Sequence[PreexistingCandidate],
     a = {c.state.joint: c.probability for c in first}
     b = {c.state.joint: c.probability for c in second}
     return a.keys() == b.keys() and all(abs(a[k] - b[k]) <= CANDIDATE_TOL for k in a)
-
-
-def distinguish_states(first: TwoQubitState, second: TwoQubitState,
-                       settings: Sequence[SettingPair],
-                       changes: Iterable[BasisChange]) -> dict[SettingPair, bool]:
-    """Per setting pair: do the two states offer identical candidate sets?
-
-    The returned map holds True where same_candidates holds for the two
-    states rebased to that pair, i.e. where the states are indistinguishable
-    by revealed outcomes.
-    """
-    pool = list(changes)
-    report: dict[SettingPair, bool] = {}
-    for setting in settings:
-        setting = SettingPair(*setting)
-        report[setting] = same_candidates(
-            enumerate_preexisting(rebase_state_to(first, setting, pool)),
-            enumerate_preexisting(rebase_state_to(second, setting, pool)))
-    return report
 
 
 # ===========================================================================

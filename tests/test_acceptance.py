@@ -53,9 +53,9 @@ from hardylab.qstate import (
 )
 from hardylab.realist import (
     ContextAssignment,
-    distinguish_states,
     enumerate_preexisting,
     is_noncontextual,
+    same_candidates,
 )
 
 EXACT_FRACTION = 6233 / 51200
@@ -95,11 +95,12 @@ def test_02_vanishing_amplitudes():
 def test_03_candidate_distinguishability():
     """Candidate sets coincide in the shared basis, split in the rotated one."""
     zz, xx = SettingPair("z", "z"), SettingPair("x", "x")
-    verdicts = distinguish_states(phi_plus(), phi_minus(), [zz, xx], [zx_change()])
-    assert verdicts[zz] is True
-    assert verdicts[xx] is False
+    plus_zz, minus_zz = (enumerate_preexisting(rebase_state_to(st, zz, [zx_change()]))
+                         for st in (phi_plus(), phi_minus()))
+    assert same_candidates(plus_zz, minus_zz)
     plus = enumerate_preexisting(rebase_state_to(phi_plus(), xx, [zx_change()]))
     minus = enumerate_preexisting(rebase_state_to(phi_minus(), xx, [zx_change()]))
+    assert not same_candidates(plus, minus)
     assert [c.state.joint for c in plus] == [JointOutcome.RR, JointOutcome.GG]
     assert [c.state.joint for c in minus] == [JointOutcome.RG, JointOutcome.GR]
     for cand in (*plus, *minus):

@@ -17,15 +17,11 @@ from hardylab.qstate import (
     hardy_basis_change,
     hardy_behavior,
     hardy_state,
-    phi_minus,
-    phi_plus,
-    zx_change,
 )
 from hardylab.realist import (
     CANDIDATE_TOL,
     ContextAssignment,
     PreexistingCandidate,
-    distinguish_states,
     enumerate_preexisting,
     is_noncontextual,
     reveal,
@@ -99,31 +95,6 @@ class TestSameCandidates:
 
     def test_empty_lists_match(self):
         assert same_candidates([], [])
-
-
-class TestDistinguishStates:
-    def test_same_at_zz_different_at_xx(self):
-        targets = [SettingPair("z", "z"), SettingPair("x", "x")]
-        report = distinguish_states(phi_plus(), phi_minus(), targets, [zx_change()])
-        assert report[SettingPair("z", "z")] is True
-        assert report[SettingPair("x", "x")] is False
-
-    def test_state_compared_with_itself_matches_everywhere(self):
-        targets = [SettingPair(b, b) for b in "zx"]
-        report = distinguish_states(phi_plus(), phi_plus(), targets, [zx_change()])
-        assert all(report.values())
-
-    def test_probability_shift_beyond_tolerance_differs(self):
-        from hardylab.qstate import make_state
-        tilted = make_state("z", "z", [np.sqrt(0.51), 0.0, 0.0, np.sqrt(0.49)])
-        report = distinguish_states(phi_plus(), tilted,
-                                    [SettingPair("z", "z")], [zx_change()])
-        assert report[SettingPair("z", "z")] is False
-
-    def test_missing_change_raises(self):
-        with pytest.raises(ValueError, match="no basis change"):
-            distinguish_states(phi_plus(), phi_minus(),
-                               [SettingPair("1", "1")], [zx_change()])
 
 
 # ===========================================================================
