@@ -29,9 +29,10 @@ from .experiment import (
     run_experiment,
     shard_codes,
 )
-from .locality import HARDY_SETTINGS, local_membership
+from .locality import local_membership
 from .qstate import (
     EQ_TOL,
+    HARDY_SETTINGS,
     JOINT_OUTCOMES,
     Behavior,
     JointOutcome,

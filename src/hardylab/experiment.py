@@ -24,7 +24,7 @@ from typing import Callable, ClassVar, Iterator, Mapping
 
 import numpy as np
 
-from .qstate import JOINT_OUTCOMES, Behavior, JointOutcome, SettingPair
+from .qstate import JOINT_OUTCOMES, Behavior, JointOutcome, SettingPair, setting_rows
 
 MODELS = ("quantum", "realist")
 Z_LIMIT = 5.0  # per-cell score bound used by the pass verdict
@@ -82,8 +82,7 @@ class FrequencyTable:
 
     def __post_init__(self) -> None:
         clean: dict[SettingPair, dict[JointOutcome, int]] = {}
-        for setting in sorted(SettingPair(*s) for s in self.counts):
-            row = self.counts[setting]
+        for setting, row in setting_rows(self.counts):
             unknown = [c for c in row if c not in JOINT_OUTCOMES]
             if unknown:
                 raise ValueError(f"setting {setting} has unknown cells {unknown}")

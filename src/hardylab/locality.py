@@ -33,6 +33,7 @@ import numpy as np
 
 from .qstate import (
     EQ_TOL,
+    HARDY_SETTINGS,
     JOINT_OUTCOMES,
     OUTCOMES,
     Behavior,
@@ -43,13 +44,6 @@ from .qstate import (
 
 FEAS_TOL = 1e-9     # max reconstruction mismatch still counted as membership
 WITNESS_TOL = 1e-9  # minimum violation margin for an infeasibility certificate
-
-HARDY_SETTINGS = (
-    SettingPair("1", "1"),
-    SettingPair("1", "2"),
-    SettingPair("2", "1"),
-    SettingPair("2", "2"),
-)
 
 
 # ===========================================================================

@@ -14,7 +14,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Any, Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -79,6 +79,18 @@ class SettingPair(NamedTuple):
 
     def __str__(self) -> str:
         return f"({self.left},{self.right})"
+
+
+def setting_rows(table: Mapping[Any, Any]) -> list[tuple[SettingPair, Any]]:
+    """A table's (setting, row) pairs, settings in canonical order.
+
+    Every key must be a pair of basis labels (a SettingPair or a plain
+    2-tuple); any other key is a ValueError naming it.
+    """
+    for key in table:
+        if not isinstance(key, tuple) or len(key) != 2:
+            raise ValueError(f"setting key {key!r} is not a pair of basis labels")
+    return [(SettingPair(*key), table[key]) for key in sorted(table)]
 
 
 # ===========================================================================
@@ -236,8 +248,7 @@ class Behavior:
         if not self.table:
             raise ValueError("behavior needs at least one setting")
         clean: dict[SettingPair, dict[JointOutcome, float]] = {}
-        for setting in sorted(SettingPair(*s) for s in self.table):
-            row = self.table[setting]
+        for setting, row in setting_rows(self.table):
             missing = [c.value for c in JOINT_OUTCOMES if c not in row]
             if missing:
                 raise ValueError(f"setting {setting} is missing cells {missing}")
@@ -375,6 +386,10 @@ def mixture_behavior(mixture: Mixture, settings: Sequence[SettingPair],
 # ===========================================================================
 # named states and changes
 # ===========================================================================
+
+# The four detector setting pairs of the Hardy state, in canonical order.
+HARDY_SETTINGS = tuple(SettingPair(left, right) for left in "12" for right in "12")
+
 
 def hardy_state() -> TwoQubitState:
     """The two-detector state with one forbidden cell per mixed setting pair."""

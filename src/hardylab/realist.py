@@ -24,6 +24,7 @@ from .qstate import (
     SettingPair,
     TwoQubitState,
     born_table,
+    setting_rows,
 )
 
 CANDIDATE_TOL = 1e-9  # probability match tolerance when comparing candidate sets
@@ -80,8 +81,7 @@ class ContextAssignment:
     def __post_init__(self) -> None:
         if not self.per_setting:
             raise ValueError("assignment needs at least one setting")
-        settings = sorted(SettingPair(*s) for s in self.per_setting)
-        object.__setattr__(self, "per_setting", {s: self.per_setting[s] for s in settings})
+        object.__setattr__(self, "per_setting", dict(setting_rows(self.per_setting)))
 
 
 def reveal(assignment: ContextAssignment, chosen: SettingPair) -> JointOutcome:

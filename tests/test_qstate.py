@@ -2,12 +2,14 @@
 from __future__ import annotations
 
 import math
+import re
 
 import numpy as np
 import pytest
 
 import oracles  # exact-arithmetic derivation, independent of the package
 
+from hardylab.experiment import FrequencyTable
 from hardylab.qstate import (
     JOINT_OUTCOMES,
     Behavior,
@@ -31,6 +33,7 @@ from hardylab.qstate import (
     resolve_change,
     zx_change,
 )
+from hardylab.realist import ContextAssignment
 
 # Frozen joint-probability rows, exact decimals confirmed by oracles.py.
 HARDY_ROWS = {
@@ -338,6 +341,20 @@ class TestBehaviorValidation:
             JointOutcome.RR: 1.0, JointOutcome.RG: 0.0,
             JointOutcome.GR: 0.0, JointOutcome.GG: 0.0}
         assert Behavior(table).no_signaling_residual() >= 0.5
+
+
+class TestSettingKeys:
+    """Behavior, FrequencyTable and ContextAssignment share one key check."""
+
+    @pytest.mark.parametrize("build", [
+        lambda key: Behavior({key: {c: 0.25 for c in JOINT_OUTCOMES}}),
+        lambda key: FrequencyTable({key: {JointOutcome.RR: 1}}),
+        lambda key: ContextAssignment({key: JointOutcome.RR}),
+    ], ids=["Behavior", "FrequencyTable", "ContextAssignment"])
+    @pytest.mark.parametrize("key", ["11", ("1", "1", "1"), 5], ids=["str", "triple", "int"])
+    def test_key_that_is_not_a_label_pair_is_named(self, build, key):
+        with pytest.raises(ValueError, match=re.escape(repr(key))):
+            build(key)
 
 
 # Rows over settings 11, 12, 13, 21 and 33, not a full grid. Left label 1
