@@ -95,11 +95,12 @@ def test_02_vanishing_amplitudes():
 def test_03_candidate_distinguishability():
     """Candidate sets coincide in the shared basis, split in the rotated one."""
     zz, xx = SettingPair("z", "z"), SettingPair("x", "x")
-    plus_zz, minus_zz = (enumerate_preexisting(rebase_state_to(st, zz, [zx_change()]))
-                         for st in (phi_plus(), phi_minus()))
-    assert same_candidates(plus_zz, minus_zz)
-    plus = enumerate_preexisting(rebase_state_to(phi_plus(), xx, [zx_change()]))
-    minus = enumerate_preexisting(rebase_state_to(phi_minus(), xx, [zx_change()]))
+
+    def candidates(state, setting):  # what interpret --against compares
+        return enumerate_preexisting(rebase_state_to(state, setting, [zx_change()]))
+
+    assert same_candidates(candidates(phi_plus(), zz), candidates(phi_minus(), zz))
+    plus, minus = candidates(phi_plus(), xx), candidates(phi_minus(), xx)
     assert not same_candidates(plus, minus)
     assert [c.state.joint for c in plus] == [JointOutcome.RR, JointOutcome.GG]
     assert [c.state.joint for c in minus] == [JointOutcome.RG, JointOutcome.GR]
