@@ -76,7 +76,7 @@ class ExperimentConfig:
 
 @dataclass(frozen=True, eq=False)
 class FrequencyTable:
-    """Integer outcome counts per setting; missing cells count as zero."""
+    """Integer outcome counts per setting; a setting or cell it does not hold counts as zero."""
 
     counts: Mapping[SettingPair, Mapping[JointOutcome, int]]
 
@@ -106,10 +106,10 @@ class FrequencyTable:
         return sum(sum(row.values()) for row in self.counts.values())
 
     def setting_total(self, setting: SettingPair) -> int:
-        return sum(self.counts.get(SettingPair(*setting), {}).values())
+        return sum(self.counts.get(setting, {}).values())
 
     def count(self, setting: SettingPair, cell: JointOutcome) -> int:
-        return self.counts.get(SettingPair(*setting), {}).get(cell, 0)
+        return self.counts.get(setting, {}).get(cell, 0)
 
 
 # ===========================================================================

@@ -84,11 +84,12 @@ class SettingPair(NamedTuple):
 def setting_rows(table: Mapping[Any, Any]) -> list[tuple[SettingPair, Any]]:
     """A table's (setting, row) pairs, settings in canonical order.
 
-    Every key must be a pair of basis labels (a SettingPair or a plain
-    2-tuple); any other key is a ValueError naming it.
+    Every key must be a pair of string basis labels (a SettingPair or a
+    plain 2-tuple); any other key is a ValueError naming it. This is the one
+    check of a setting key: lookups take the key as given.
     """
     for key in table:
-        if not isinstance(key, tuple) or len(key) != 2:
+        if not (isinstance(key, tuple) and len(key) == 2 and all(isinstance(x, str) for x in key)):
             raise ValueError(f"setting key {key!r} is not a pair of basis labels")
     return [(SettingPair(*key), table[key]) for key in sorted(table)]
 
@@ -277,7 +278,6 @@ class Behavior:
         return {cell: self.prob(setting, cell) for cell in JOINT_OUTCOMES}
 
     def prob(self, setting: SettingPair, cell: JointOutcome) -> float:
-        setting = SettingPair(*setting)
         if setting not in self.table:
             raise ValueError(f"behavior has no setting {setting}")
         return self.table[setting][cell]
@@ -372,8 +372,7 @@ def mixture_behavior(mixture: Mixture, settings: Sequence[SettingPair],
         raise ValueError("at least one setting pair is required")
     pool = list(changes)
     table: dict[SettingPair, dict[JointOutcome, float]] = {}
-    for setting in settings:
-        setting = SettingPair(*setting)
+    for setting, _ in setting_rows(dict.fromkeys(settings)):
         row = {cell: 0.0 for cell in JOINT_OUTCOMES}
         for weight, comp in mixture.components:
             t = born_table(rebase_state_to(comp.to_state(), setting, pool))

@@ -81,12 +81,14 @@ class ContextAssignment:
     def __post_init__(self) -> None:
         if not self.per_setting:
             raise ValueError("assignment needs at least one setting")
+        unknown = [o for o in self.per_setting.values() if o not in JOINT_OUTCOMES]
+        if unknown:
+            raise ValueError(f"assignment has unknown outcomes {unknown}")
         object.__setattr__(self, "per_setting", dict(setting_rows(self.per_setting)))
 
 
 def reveal(assignment: ContextAssignment, chosen: SettingPair) -> JointOutcome:
     """Uncover the outcome already assigned to the chosen setting."""
-    chosen = SettingPair(*chosen)
     try:
         return assignment.per_setting[chosen]
     except KeyError:

@@ -33,7 +33,7 @@ from hardylab.qstate import (
     resolve_change,
     zx_change,
 )
-from hardylab.realist import ContextAssignment
+from hardylab.realist import ContextAssignment, reveal
 
 # Frozen joint-probability rows, exact decimals confirmed by oracles.py.
 HARDY_ROWS = {
@@ -351,10 +351,29 @@ class TestSettingKeys:
         lambda key: FrequencyTable({key: {JointOutcome.RR: 1}}),
         lambda key: ContextAssignment({key: JointOutcome.RR}),
     ], ids=["Behavior", "FrequencyTable", "ContextAssignment"])
-    @pytest.mark.parametrize("key", ["11", ("1", "1", "1"), 5], ids=["str", "triple", "int"])
+    @pytest.mark.parametrize("key", ["11", ("1", "1", "1"), 5, (1, 2), ("1", 2)],
+                             ids=["str", "triple", "int", "int-labels", "str-int-labels"])
     def test_key_that_is_not_a_label_pair_is_named(self, build, key):
         with pytest.raises(ValueError, match=re.escape(repr(key))):
             build(key)
+
+    def test_keys_of_mixed_label_types_are_named_not_sorted(self):
+        row = {c: 0.25 for c in JOINT_OUTCOMES}
+        with pytest.raises(ValueError, match=re.escape(repr((1, "2")))):
+            Behavior({(1, "2"): row, ("1", "2"): row})
+
+    @pytest.mark.parametrize("key", ["12", "123", 5], ids=["str", "long-str", "int"])
+    def test_lookup_of_a_key_no_table_holds(self, key):
+        beh = hardy_behavior()
+        with pytest.raises(ValueError, match="no setting"):
+            beh.prob(key, JointOutcome.RR)
+        with pytest.raises(ValueError, match="no setting"):
+            beh.row(key)
+        with pytest.raises(ValueError, match="no setting"):
+            reveal(ContextAssignment({("1", "2"): JointOutcome.RR}), key)
+        freq = FrequencyTable({("1", "2"): {JointOutcome.RR: 3}})
+        assert freq.count(key, JointOutcome.RR) == freq.setting_total(key) == 0
+        assert freq.count(("1", "2"), JointOutcome.RR) == freq.setting_total(("1", "2")) == 3
 
 
 # Rows over settings 11, 12, 13, 21 and 33, not a full grid. Left label 1
@@ -463,6 +482,10 @@ class TestMixtures:
     def test_missing_change_is_reported(self):
         with pytest.raises(ValueError, match="no basis change"):
             mixture_behavior(same_outcome_mixture(), [SettingPair("1", "1")], [zx_change()])
+
+    def test_setting_that_is_not_a_label_pair_is_named(self):
+        with pytest.raises(ValueError, match="'zz'"):
+            mixture_behavior(same_outcome_mixture(), ["zz"], [zx_change()])
 
     def test_changes_are_used_only_in_the_given_direction(self):
         with pytest.raises(ValueError, match="no basis change"):

@@ -1,6 +1,7 @@
 """Measurement-as-reveal model: candidates, assignments, contextuality."""
 from __future__ import annotations
 
+import re
 from itertools import product
 
 import numpy as np
@@ -220,3 +221,7 @@ class TestAssignmentSerialization:
     def test_empty_assignment_rejected(self):
         with pytest.raises(ValueError, match="at least one"):
             ContextAssignment({})
+
+    def test_value_that_is_not_an_outcome_is_named(self):
+        with pytest.raises(ValueError, match=re.escape("unknown outcomes ['RR']")):
+            ContextAssignment({("1", "1"): "RR"})
