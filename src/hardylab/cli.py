@@ -15,7 +15,7 @@ import csv
 import functools
 import json
 import sys
-from typing import Any, NoReturn, Sequence
+from typing import Any, BinaryIO, Iterable, Iterator, NoReturn, Sequence
 
 import numpy as np
 
@@ -24,8 +24,8 @@ from .experiment import (
     Z_LIMIT,
     ExperimentConfig,
     FrequencyTable,
-    code_table,
     compare_tables,
+    count_codes,
     run_experiment,
     shard_codes,
 )
@@ -159,7 +159,7 @@ class _LogRows:
     def __init__(self, table: np.ndarray, rows: int, digits: int):
         self.suffix = table.view(f"S{table.shape[1]}").ravel()
         self.buf = np.empty(rows * (digits + self.suffix.itemsize), dtype=np.uint8)
-        self.codes = np.empty(rows, dtype=np.intp)  # take and bincount read intp as is
+        self.codes = np.empty(rows, dtype=np.intp)  # take and the tally read intp as is
 
     def __call__(self, start: int, codes: np.ndarray) -> memoryview:
         """The rows of trials start, start + 1, ... with outcome codes `codes`,
@@ -184,12 +184,23 @@ class _LogRows:
             a = b
         return self.buf.data[:end]
 
+    def write(self, fh: BinaryIO, shards: Iterable[np.ndarray]) -> Iterator[np.ndarray]:
+        """Write each shard's rows to fh, indices running on across shards, and
+        yield the intp copy of its codes, valid until the next shard."""
+        start = 0
+        for shard in shards:
+            codes = self.codes[:len(shard)]
+            codes[...] = shard
+            fh.write(self(start, codes))
+            start += len(codes)
+            yield codes
+
 
 def _write_trial_log(path: str, config: ExperimentConfig, behavior: Behavior,
                      workers: int) -> FrequencyTable:
     """Run the trials, writing the per-trial CSV log shard by shard; return the counts.
 
-    Each row is the trial index joined to one of 16 equal-width row
+    Each row is the trial index joined to one of the equal-width row
     suffixes, one per outcome code; rows end in \\r\\n, as csv.writer's
     default dialect writes them. One _LogRows, sized for a full shard of
     the widest rows, builds every shard in its one row buffer, and each
@@ -200,20 +211,12 @@ def _write_trial_log(path: str, config: ExperimentConfig, behavior: Behavior,
                 for s, c, _ in behavior.cells()]
     if len({len(s) for s in suffixes}) != 1:
         raise ValueError("trial log needs setting and outcome labels of equal length")
-    table = np.frombuffer(b"".join(suffixes), dtype=np.uint8).reshape(16, -1)
+    table = np.frombuffer(b"".join(suffixes), dtype=np.uint8).reshape(len(suffixes), -1)
     rows = _LogRows(table, config.shard_size, len(str(config.trials - 1)))
-    total = np.zeros(16, dtype=np.int64)
-    start = 0
     shards = shard_codes(config, behavior, workers=workers)  # raises before open() truncates the log
     with open(path, "wb") as fh:
         fh.write(b"trial,setting_l,setting_r,outcome_l,outcome_r\r\n")
-        for shard in shards:
-            codes = rows.codes[:len(shard)]
-            codes[...] = shard
-            fh.write(rows(start, codes))
-            total += np.bincount(codes, minlength=16)
-            start += len(codes)
-    return code_table(behavior, total)
+        return count_codes(behavior, rows.write(fh, shards))
 
 
 # ===========================================================================
@@ -404,12 +407,12 @@ def cmd_mixture_compare(args: argparse.Namespace) -> int:
             headline = "rows agree" if n_diff == 0 else f"{n_diff} differing cells"
             print(f"\nbasis ({basis[0]},{basis[1]}): {headline}")
             print(f"  {'outcome':<8} {'entangled':<12} {'mixture':<12} difference")
+            deltas = {d["outcome"]: d["difference"] for d in comp["differing_cells"]}
             for cell in JOINT_OUTCOMES:
                 ent = comp["entangled"][cell.value]
                 mix = comp["mixture"][cell.value]
-                delta = ent - mix if abs(ent - mix) > DIFF_TOL else 0.0
                 print(f"  {cell.value:<8} {_fmt(ent):<12} {_fmt(mix):<12} "
-                      f"{_fmt(delta)}")
+                      f"{_fmt(deltas.get(cell.value, 0.0))}")
     return 0
 
 

@@ -20,7 +20,7 @@ import os
 from collections import deque
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, ClassVar, Iterator, Mapping
+from typing import Callable, ClassVar, Iterable, Iterator, Mapping
 
 import numpy as np
 
@@ -116,15 +116,14 @@ class FrequencyTable:
 # running trials
 # ===========================================================================
 
-def _row_boundaries(behavior: Behavior) -> np.ndarray:
-    """Cumulative row boundaries, one row per canonical setting.
+def _row_boundaries(cells: Iterable[tuple[SettingPair, JointOutcome, float]]) -> np.ndarray:
+    """Cumulative row boundaries of behavior.cells(), one row per setting.
 
-    Rows are renormalized so the last boundary is exactly 1.0; structural
-    zeros keep zero width, so they can never be hit by a uniform draw.
+    Dividing each row by its own sum makes its last boundary exactly 1.0;
+    structural zeros keep zero width, so they can never be hit by a uniform draw.
     """
-    cum = np.cumsum(np.reshape([p for _, _, p in behavior.cells()], (-1, 4)), axis=1)
+    cum = np.cumsum(np.reshape([p for _, _, p in cells], (-1, 4)), axis=1)
     cum /= cum[:, -1:]
-    cum[:, -1] = 1.0
     return cum
 
 
@@ -140,7 +139,7 @@ def sample_assignments(behavior: Behavior, rng: np.random.Generator,
     """
     u = rng.random((n, len(behavior.settings)))
     idx = np.zeros(u.shape, dtype=np.uint8)
-    for column in _row_boundaries(behavior).T[:3]:
+    for column in _row_boundaries(behavior.cells()).T[:3]:
         idx += (u >= column).view(np.uint8)
     return idx
 
@@ -184,12 +183,9 @@ def shard_codes(config: ExperimentConfig, behavior: Behavior, *,
     the next ones are sampled, and memory is bounded by shard size and CPU
     count, never by the trial count.
     """
-    if not behavior.is_full_grid():
-        raise ValueError("experiment needs a behavior over a full 2x2 setting grid")
+    boundaries = _row_boundaries(behavior.grid_cells())
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers!r}")
-
-    boundaries = _row_boundaries(behavior)
     n_shards = -(-config.trials // config.shard_size)
 
     def shard(k: int) -> np.ndarray:
@@ -216,10 +212,13 @@ def _bounded_map(fn: Callable[[int], np.ndarray], n: int,
         pool.shutdown(cancel_futures=True)
 
 
-def code_table(behavior: Behavior, counts: np.ndarray) -> FrequencyTable:
-    """The frequency table of per-code counts, code k being behavior.cells()'s k-th."""
+def count_codes(behavior: Behavior, shards: Iterable[np.ndarray]) -> FrequencyTable:
+    """The frequency table of shards of outcome codes, code k being behavior.cells()'s k-th."""
+    total = np.zeros(16, dtype=np.int64)
+    for shard in shards:
+        total += np.bincount(shard, minlength=16)
     table: dict[SettingPair, dict[JointOutcome, int]] = {}
-    for (setting, cell, _), n in zip(behavior.cells(), counts.tolist()):
+    for (setting, cell, _), n in zip(behavior.cells(), total.tolist()):
         table.setdefault(setting, {})[cell] = n
     return FrequencyTable(table)
 
@@ -239,10 +238,7 @@ def run_experiment(config: ExperimentConfig, behavior: Behavior, *,
     """
     shards = shard_codes(config, behavior, workers=workers)  # validates the grid
     codes = np.concatenate(list(shards)) if collect_trials else None
-    total = np.zeros(16, dtype=np.int64)
-    for shard in shards if codes is None else [codes]:
-        total += np.bincount(shard, minlength=16)
-    return code_table(behavior, total), codes
+    return count_codes(behavior, shards if codes is None else [codes]), codes
 
 
 # ===========================================================================

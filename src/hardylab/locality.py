@@ -80,8 +80,8 @@ def deterministic_strategies() -> tuple[DeterministicStrategy, ...]:
 def strategy_behavior(strategy: DeterministicStrategy) -> Behavior:
     """The 0/1 behavior a strategy produces over the four detector settings."""
     return Behavior({
-        SettingPair(lab_l, lab_r): {c: float(c is strategy.joint(i, j)) for c in JOINT_OUTCOMES}
-        for i, lab_l in enumerate("12") for j, lab_r in enumerate("12")})
+        setting: {c: float(c is strategy.joint(i, j)) for c in JOINT_OUTCOMES}
+        for setting, (i, j) in zip(HARDY_SETTINGS, product((0, 1), repeat=2))})
 
 
 # Per strategy, the four cells it picks, one per setting in canonical order:
@@ -153,12 +153,6 @@ class MembershipResult:
             "weights": list(self.weights) if self.weights is not None else None,
             "witness": self.witness.to_jsonable() if self.witness is not None else None,
         }
-
-
-def _grid_cells(behavior: Behavior) -> list[tuple[SettingPair, JointOutcome, float]]:
-    if not behavior.is_full_grid():
-        raise ValueError("locality checks need a behavior over a full 2x2 setting grid")
-    return list(behavior.cells())
 
 
 class _Program:
@@ -274,7 +268,7 @@ def local_membership(behavior: Behavior) -> MembershipResult:
     Raises RuntimeError when an LP fails to solve, or when the refit still
     misses FEAS_TOL.
     """
-    cells = _grid_cells(behavior)
+    cells = behavior.grid_cells()
     b = np.array([p for _, _, p in cells])
     lps = _highs()
     weights, residual = _fit_weights(b, lps.options)
@@ -310,5 +304,5 @@ def noncontextual_fraction(behavior: Behavior) -> float:
     it is the chance that one measurement-as-reveal run is factorizable.
     """
     # plain floats: on 16 numbers numpy's per-call cost outweighs the work
-    b = [p for _, _, p in _grid_cells(behavior)]
+    b = [p for _, _, p in behavior.grid_cells()]
     return sum(b[i] * b[j] * b[k] * b[m] for i, j, k, m in _STRATEGY_CELLS)

@@ -293,10 +293,13 @@ class Behavior:
             for cell, p in row.items():
                 yield setting, cell, p
 
-    def is_full_grid(self) -> bool:
-        """True when two left labels each pair with both of two right labels."""
-        return (len({s.left for s in self.table}) == len({s.right for s in self.table}) == 2
-                and len(self.table) == 4)
+    def grid_cells(self) -> list[tuple[SettingPair, JointOutcome, float]]:
+        """cells() as a list; a ValueError unless two left labels pair with two right labels."""
+        if not (len({s.left for s in self.table}) == len({s.right for s in self.table}) == 2
+                and len(self.table) == 4):
+            raise ValueError(f"behavior settings {', '.join(map(str, self.table))} "
+                             f"are not a full 2x2 setting grid")
+        return list(self.cells())
 
     def no_signaling_residual(self) -> float:
         """Largest shift of a one-side marginal when the far setting changes."""

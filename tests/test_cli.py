@@ -328,6 +328,15 @@ class TestCheckLocal:
         assert out == ""
         assert err.splitlines() == ["error: cell 12:RG is too large for a float"]
 
+    def test_off_grid_settings_are_named(self, capsys, tmp_path):
+        rows = {k: UNIFORM_ROWS[k] for k in ("11", "12")}
+        code, out, err = run_cli(capsys, "check-local", "--behavior",
+                                 self.write(tmp_path, rows))
+        assert code == 1
+        assert out == ""
+        assert err.splitlines() == [
+            "error: behavior settings (1,1), (1,2) are not a full 2x2 setting grid"]
+
     @pytest.mark.parametrize("key, repeat", [
         # last-wins parsing would decide the second "11" row, the Hardy one
         ("11", lambda text: '{"11": ' + json.dumps(UNIFORM_ROWS["11"]) + ", " + text[1:]),

@@ -18,8 +18,8 @@ from hardylab.experiment import (
     CHI2_LIMIT_1E6,
     ExperimentConfig,
     FrequencyTable,
-    code_table,
     compare_tables,
+    count_codes,
     run_experiment,
     sample_assignments,
     shard_codes,
@@ -394,6 +394,27 @@ class TestShardKernel:
         assignments = sample_assignments(same_rows(cells), rng, len(draws))
         assert assignments.tolist() == [[k] * 4 for k in expected]
 
+    @pytest.mark.parametrize(("model", "seed"), [
+        *(("quantum", seed) for seed in (0, 9, 11, 32)),
+        *(("realist", seed) for seed in (2, 9, 12, 27))])  # settings 2, 0, 3, 1
+    def test_shard_draw_on_a_boundary_takes_the_next_cell(self, model, seed):
+        """The shard kernel counts a boundary equal to the uniform as passed.
+
+        The first trial's setting s and uniform u come from the documented
+        draw order; setting s gets the row (u, 0, 0, 1 - u), whose first three
+        boundaries all equal u, so the trial lands in the last cell.
+        """
+        rng = np.random.Generator(np.random.PCG64(shard_seed(seed, 0)))
+        left, right = rng.random(2) >= experiment.SETTING_LAW
+        s = 2 * int(left) + int(right)
+        u = float(rng.random() if model == "quantum" else rng.random(4)[s])
+        assert u >= 0.5  # so 1 - u is exact and u + (1 - u) is exactly 1
+        settings = [SettingPair(a, b) for a in "12" for b in "12"]
+        rows = {setting: dict(zip(JOINT_OUTCOMES, (0.25,) * 4)) for setting in settings}
+        rows[settings[s]] = dict(zip(JOINT_OUTCOMES, (u, 0.0, 0.0, 1.0 - u)))
+        config = ExperimentConfig(trials=1, seed=seed, model=model)
+        assert next(iter(shard_codes(config, Behavior(rows)))).tolist() == [4 * s + 3]
+
     def test_first_shard_of_huge_run_allocates_only_a_shard(self):
         """Shard seeds are built as shards run, not all before the first."""
         config = ExperimentConfig(trials=65536 * 200_000, seed=3)
@@ -441,7 +462,8 @@ class TestFrequencyTable:
     def test_code_table_reads_codes_in_cell_order(self):
         """Code k counts the k-th (setting, cell) of Behavior.cells()."""
         behavior = quantum_behavior(phi_plus(), zx_change())
-        freq = code_table(behavior, np.arange(16, dtype=np.int64) * 3)
+        codes = np.repeat(np.arange(16), 3 * np.arange(16))
+        freq = count_codes(behavior, np.array_split(codes, 2))  # summed across shards
         cells = [(s, c) for s in SPIN_SETTINGS for c in JOINT_OUTCOMES]
         assert [freq.count(s, c) for s, c in cells] == [3 * k for k in range(16)]
         assert all(type(freq.count(s, c)) is int for s, c in cells)

@@ -277,6 +277,8 @@ STDOUT_DIGESTS = {
         "edd3123f94a0994643653961421cd7a32883acf27a0b05b592101316009d20ff",
     ("mixture-compare", "json"):
         "d1662f8c89cc2946689824f3ec51a82627d1079b7bce2bae8b3cefb536ef32c0",
+    ("simulate", "text"):  # --trials 100000 --seed 0
+        "b96c6ec5e68d4d118a858145336005e0bb10a955587a15b24cf760f20457471a",
 }
 
 

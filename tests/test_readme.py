@@ -1,4 +1,4 @@
-"""The README's Library tour runs and prints what its comments say."""
+"""The README's Library tour and `simulate` example print what the README shows."""
 from __future__ import annotations
 
 import contextlib
@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import oracles
+from hardylab.cli import main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -37,3 +38,13 @@ def test_library_tour_prints_its_comments_and_the_oracle_values():
     exact_fraction = oracles.noncontextual_fraction(oracles.hardy_behavior())
     assert exact_fraction == oracles.sp.Rational(6233, 51200)
     assert float(fraction) == pytest.approx(float(exact_fraction), abs=1e-12)
+
+
+def test_simulate_example_is_the_commands_stdout(capsys):
+    text = README.read_text(encoding="utf-8")
+    block = re.search(r"\n  ```text\n  \$ hardylab (simulate .*?)\n(.*?)\n  ```", text, re.DOTALL)
+    argv = block.group(1).split()
+    assert argv == ["simulate", "--trials", "100000", "--seed", "42"]
+    assert main(argv) == 0
+    shown = [line.removeprefix("  ") for line in block.group(2).splitlines()]
+    assert shown == capsys.readouterr().out.splitlines()
