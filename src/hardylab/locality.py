@@ -246,34 +246,33 @@ def _highs() -> _HighsLPs:
                              dual_feasibility_tolerance=1e-10))
 
 
-def _fit_weights(b: np.ndarray, options) -> tuple[np.ndarray, float]:
-    """Mixing weights minimizing the largest cell mismatch, and that mismatch."""
-    x, status = _highs().fit.solve(options, row_upper_=np.concatenate([b, -b, [1.0]]))
-    if x is None:
-        raise RuntimeError(f"membership LP did not solve: {status}")
-    weights = np.clip(x[:16], 0.0, None)
-    weights /= weights.sum()
-    return weights, float(np.max(np.abs(_VERTICES @ weights - b)))
-
-
 def local_membership(behavior: Behavior) -> MembershipResult:
     """Decide whether a behavior mixes from deterministic strategies.
 
-    First LP: minimize the largest cell mismatch over weight vectors on the
-    16 strategies. A residual within FEAS_TOL means membership, and the
-    weights are returned. Otherwise a second LP finds the maximum-margin
-    separating functional with coefficients in [-1, 1]. When that misses
-    the WITNESS_TOL margin, the first LP is solved again with tighter solver
-    tolerances: HiGHS can stop a local behavior's fit just above FEAS_TOL.
-    Raises RuntimeError when an LP fails to solve, or when the refit still
-    misses FEAS_TOL.
+    Two LPs, solved first under linprog's options and then, if neither
+    decides, both again with 1e-10 feasibility tolerances: HiGHS can stop a
+    local behavior's fit just above FEAS_TOL, or a nonlocal behavior's
+    separating LP at margin 0. The fit minimizes the largest cell mismatch
+    over weight vectors on the 16 strategies; a residual within FEAS_TOL
+    means membership, and the weights are returned. The separating LP finds
+    the maximum-margin functional with coefficients in [-1, 1]; a margin of
+    at least WITNESS_TOL means nonmembership, with that certificate.
+    Raises RuntimeError when a fit fails to solve, or when the tight pass
+    still decides nothing.
     """
     cells = behavior.grid_cells()
     b = np.array([p for _, _, p in cells])
     lps = _highs()
-    weights, residual = _fit_weights(b, lps.options)
-    if residual > FEAS_TOL:
-        x, _ = lps.separate.solve(lps.options, col_cost_=np.concatenate([-b, [1.0]]))
+    for options in (lps.options, lps.tight):
+        x, status = lps.fit.solve(options, row_upper_=np.concatenate([b, -b, [1.0]]))
+        if x is None:
+            raise RuntimeError(f"membership LP did not solve: {status}")
+        weights = np.clip(x[:16], 0.0, None)
+        weights /= weights.sum()
+        residual = float(np.max(np.abs(_VERTICES @ weights - b)))
+        if residual <= FEAS_TOL:
+            return MembershipResult("feasible", residual, weights=tuple(weights))
+        x, _ = lps.separate.solve(options, col_cost_=np.concatenate([-b, [1.0]]))
         if x is not None:
             f = x[:16]
             value = float(f @ b)
@@ -284,12 +283,9 @@ def local_membership(behavior: Behavior) -> MembershipResult:
                      if abs(coef) > EQ_TOL},
                     value, det_max)
                 return MembershipResult("infeasible", residual, witness=witness)
-        weights, residual = _fit_weights(b, lps.tight)
-        if residual > FEAS_TOL:
-            raise RuntimeError(
-                f"behavior sits {residual:.3e} outside the local polytope but no "
-                f"certificate reached the {WITNESS_TOL} margin")
-    return MembershipResult("feasible", residual, weights=tuple(weights))
+    raise RuntimeError(
+        f"behavior sits {residual:.3e} outside the local polytope but no "
+        f"certificate reached the {WITNESS_TOL} margin")
 
 
 # ===========================================================================

@@ -54,6 +54,13 @@ NEAR_VERTEX_ROWS = [
     0.06921019240426657, 0.1970108155901904, 0.6725239412918786, 0.06125505071366442,
 ]
 
+# The PR box whose (2,2) row is anti-correlated, mixed with white noise at
+# weight 1/2 + 2.5e-8: valid, no-signaling, CHSH value 2 + 1e-7. Its fit
+# residual is 1e-7 / 16 = 6.25e-9, above FEAS_TOL, and only the separating
+# LP under the tight options reaches the WITNESS_TOL margin.
+NEAR_FACET_ROWS = [0.37500000625, 0.12499999375, 0.12499999375, 0.37500000625] * 3 + [
+    0.12499999375, 0.37500000625, 0.37500000625, 0.12499999375]
+
 
 def uniform_behavior() -> Behavior:
     return Behavior({s: {c: 0.25 for c in JOINT_OUTCOMES} for s in HARDY_SETTINGS})
@@ -239,6 +246,23 @@ class TestLocalMembership:
         assert captured.out.startswith("verdict: feasible\n")
         assert captured.err == ""
 
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_near_facet_box_check_local_exits_two(self, fmt, capsys, tmp_path):
+        path = tmp_path / "near_facet.json"
+        path.write_text(json.dumps(oracle_table(behavior_from_rows(NEAR_FACET_ROWS))))
+        code = main(["check-local", "--behavior", str(path), "--format", fmt])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err == ""
+        if fmt == "json":
+            data = json.loads(captured.out)
+            assert data["verdict"] == "infeasible"
+            margin = data["witness"]["margin"]
+        else:
+            assert captured.out.startswith("verdict: infeasible\n")
+            margin = float(captured.out.split("witness margin: ")[1].split()[0])
+        assert margin >= WITNESS_TOL
+
     def test_result_serializes(self):
         feasible = local_membership(uniform_behavior()).to_jsonable()
         assert feasible["verdict"] == "feasible"
@@ -288,6 +312,35 @@ class TestSolverFailure:
         assert captured.err == f"error: membership LP did not solve: {status}\n"
 
 
+class TestTightPassFailure:
+    """The tight options are used only when the first pass decides nothing."""
+
+    @pytest.fixture
+    def status(self, monkeypatch) -> str:
+        monkeypatch.setattr(locality._highs().tight, "time_limit", 0.0)
+        return highs._Highs().modelStatusToString(highs.HighsModelStatus.kTimeLimit)
+
+    def check_local(self, capsys, tmp_path, behavior: Behavior) -> tuple[int, str, str]:
+        path = tmp_path / "behavior.json"
+        path.write_text(json.dumps(oracle_table(behavior)))
+        code = main(["check-local", "--behavior", str(path)])
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    def test_undecided_first_pass_exits_one(self, status, capsys, tmp_path):
+        code, out, err = self.check_local(capsys, tmp_path,
+                                          behavior_from_rows(NEAR_FACET_ROWS))
+        assert code == 1
+        assert out == ""
+        assert err == f"error: membership LP did not solve: {status}\n"
+
+    def test_decided_first_pass_never_reaches_it(self, status, capsys, tmp_path):
+        code, out, err = self.check_local(capsys, tmp_path, hardy_behavior())
+        assert code == 2
+        assert out.startswith("verdict: infeasible\n")
+        assert err == ""
+
+
 # ===========================================================================
 # the direct HiGHS calls against scipy's linprog
 # ===========================================================================
@@ -307,11 +360,12 @@ def linprog_fit(b: np.ndarray, options: dict | None = None) -> np.ndarray:
     return fit.x
 
 
-def linprog_separation(b: np.ndarray) -> np.ndarray:
+def linprog_separation(b: np.ndarray, options: dict | None = None) -> np.ndarray:
     """max f.b - t  s.t.  f.V_s <= t per strategy,  -1 <= f <= 1."""
     sep = linprog(np.concatenate([-b, [1.0]]),
                   A_ub=np.hstack([locality._VERTICES.T, -np.ones((16, 1))]),
-                  b_ub=np.zeros(16), bounds=[(-1, 1)] * 16 + [(None, None)], method="highs")
+                  b_ub=np.zeros(16), bounds=[(-1, 1)] * 16 + [(None, None)], method="highs",
+                  options=options)
     assert sep.success
     return sep.x
 
@@ -339,11 +393,12 @@ def seeded_rows(kind: str, rng: np.random.Generator) -> np.ndarray:
 def assert_solves_match_linprog(b: np.ndarray) -> None:
     lps = locality._highs()
     row_upper = np.concatenate([b, -b, [1.0]])
+    col_cost = np.concatenate([-b, [1.0]])
     for options, reference in ((lps.options, None), (lps.tight, TIGHT_FIT)):
         x, _ = lps.fit.solve(options, row_upper_=row_upper)
         assert np.array_equal(x, linprog_fit(b, reference))
-    x, _ = lps.separate.solve(lps.options, col_cost_=np.concatenate([-b, [1.0]]))
-    assert np.array_equal(x, linprog_separation(b))
+        x, _ = lps.separate.solve(options, col_cost_=col_cost)
+        assert np.array_equal(x, linprog_separation(b, reference))
 
 
 class TestAgreesWithLinprog:
@@ -385,10 +440,13 @@ class TestSharedSolver:
         lps = locality._highs()
         b = np.array(NEAR_VERTEX_ROWS)
         row_upper = np.concatenate([b, -b, [1.0]])
+        col_cost = np.concatenate([-b, [1.0]])
         for options, reference in ((lps.options, None), (lps.tight, TIGHT_FIT),
                                    (lps.options, None)):
             x, _ = lps.fit.solve(options, row_upper_=row_upper)
             assert np.array_equal(x, linprog_fit(b, reference))
+            x, _ = lps.separate.solve(options, col_cost_=col_cost)
+            assert np.array_equal(x, linprog_separation(b, reference))
 
     def test_solve_after_a_failure(self, monkeypatch):
         lps = locality._highs()
@@ -514,6 +572,11 @@ def oracle_table(behavior: Behavior) -> dict[str, dict[str, float]]:
     return {s.key: {c.value: p for c, p in row.items()} for s, row in behavior.table.items()}
 
 
+def table_behavior(table: dict[str, dict[str, float]]) -> Behavior:
+    return Behavior({SettingPair(s[0], s[1]): {JointOutcome(c): p for c, p in row.items()}
+                     for s, row in table.items()})
+
+
 def vertex_table(assignment: dict[str, str]) -> dict[str, dict[str, float]]:
     return {s: {c: float(c == assignment[s]) for c in CELL_NAMES} for s in oracles.SETTINGS}
 
@@ -533,8 +596,7 @@ def assert_weights_rebuild(weights, table: dict[str, dict[str, float]]) -> None:
 
 def check_against_fine(table: dict[str, dict[str, float]]) -> None:
     """Decide by LP, then recheck the verdict and its evidence without it."""
-    result = local_membership(Behavior({SettingPair(s[0], s[1]): {
-        JointOutcome(c): p for c, p in row.items()} for s, row in table.items()}))
+    result = local_membership(table_behavior(table))
     expected = oracles.fine_local(table, CHSH_MARGIN)
     if expected is not None:
         assert (result.verdict == "feasible") == expected
@@ -580,6 +642,20 @@ def near_boundary_tables(draw):
 
 
 @st.composite
+def near_facet_tables(draw):
+    """A local mixture mixed with a nonlocal extreme at the weight where the
+    extreme's top CHSH expression reaches 2 + e, e log-uniform in [4e-8, 1e-6]:
+    nonlocal, but within the Fine tests' CHSH_MARGIN of the facet."""
+    local = draw(local_tables())
+    extreme = draw(st.sampled_from(PR_BOXES + [HARDY_TABLE]))
+    top = max(range(8), key=oracles.chsh_values(extreme).__getitem__)
+    c_local, c_extreme = oracles.chsh_values(local)[top], oracles.chsh_values(extreme)[top]
+    e = math.exp(draw(st.floats(math.log(4e-8), math.log(1e-6))))
+    v = (2.0 + e - c_local) / (c_extreme - c_local)
+    return mix_tables([(v, extreme), (1.0 - v, local)])
+
+
+@st.composite
 def sure_row_tables(draw):
     """Rows with p = 1: either strategy mixtures that agree on one setting's
     cell (local), or independent rows of which some are one-hot."""
@@ -614,6 +690,14 @@ class TestAgreesWithFine:
     @settings(derandomize=True, deadline=None)
     @given(near_boundary_tables())
     def test_near_the_polytope_boundary(self, table):
+        check_against_fine(table)
+
+    @settings(derandomize=True, deadline=None, max_examples=150)
+    @given(near_facet_tables())
+    def test_just_outside_a_chsh_facet(self, table):
+        result = local_membership(table_behavior(table))
+        assert result.verdict == "infeasible"
+        assert result.witness.margin >= WITNESS_TOL
         check_against_fine(table)
 
     @settings(derandomize=True, deadline=None)
