@@ -313,8 +313,8 @@ def cmd_interpret(args: argparse.Namespace) -> int:
         other_candidates = enumerate_preexisting(rebase_state_to(other, setting, changes))
         against_block = {
             "state": args.against,
-            "candidates": [{"outcome": c.state.joint.value, "probability": c.probability}
-                           for c in other_candidates],
+            "candidates": [{"outcome": cell.value, "probability": p}
+                           for cell, p in other_candidates.items()],
             "same_candidates": same_candidates(candidates, other_candidates),
         }
 
@@ -323,16 +323,16 @@ def cmd_interpret(args: argparse.Namespace) -> int:
             "format_version": FORMAT_VERSION,
             "state": args.state,
             "basis": args.basis,
-            "candidates": [{"outcome": c.state.joint.value, "probability": c.probability}
-                           for c in candidates],
+            "candidates": [{"outcome": cell.value, "probability": p}
+                           for cell, p in candidates.items()],
             "against": against_block,
         })
     else:
         print(f"state: {args.state}")
         print(f"basis: ({setting.left},{setting.right})")
         print("pre-existing outcome candidates (R = +, G = -):")
-        for c in candidates:
-            print(f"  {c.state.joint.value}  p = {_fmt(c.probability)}")
+        for cell, p in candidates.items():
+            print(f"  {cell.value}  p = {_fmt(p)}")
         if against_block is not None:
             print(f"against: {args.against}")
             for c in against_block["candidates"]:
@@ -508,7 +508,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except KeyboardInterrupt:
         print("error: interrupted", file=sys.stderr)
         return 130
-    except ModuleNotFoundError as exc:
+    except ImportError as exc:
         # scipy is imported on check-local's first LP, not at start-up
         print(f"error: {args.command} could not import {exc.name}: {exc}", file=sys.stderr)
         return 1

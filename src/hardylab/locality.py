@@ -26,7 +26,6 @@ import threading
 from dataclasses import dataclass
 from functools import cache
 from importlib.machinery import PathFinder
-from itertools import product
 from typing import Any
 
 import numpy as np
@@ -34,11 +33,8 @@ import numpy as np
 from .qstate import (
     EQ_TOL,
     HARDY_SETTINGS,
-    JOINT_OUTCOMES,
-    OUTCOMES,
     Behavior,
     JointOutcome,
-    Outcome,
     SettingPair,
 )
 
@@ -50,43 +46,10 @@ WITNESS_TOL = 1e-9  # minimum violation margin for an infeasibility certificate
 # deterministic strategies
 # ===========================================================================
 
-@dataclass(frozen=True)
-class DeterministicStrategy:
-    """Fixed per-side responses: one outcome per local setting choice."""
-
-    left: tuple[Outcome, Outcome]
-    right: tuple[Outcome, Outcome]
-
-    @property
-    def index(self) -> int:
-        """Canonical position: left bits major, R before G."""
-        l1, l2 = self.left
-        r1, r2 = self.right
-        return 8 * l1.index + 4 * l2.index + 2 * r1.index + r2.index
-
-    def joint(self, left_choice: int, right_choice: int) -> JointOutcome:
-        """Joint outcome when each side picks its first (0) or second (1) label."""
-        return JointOutcome.from_outcomes(self.left[left_choice], self.right[right_choice])
-
-
-def deterministic_strategies() -> tuple[DeterministicStrategy, ...]:
-    """All 16 strategies in canonical order."""
-    return tuple(
-        DeterministicStrategy((l1, l2), (r1, r2))
-        for l1, l2, r1, r2 in product(OUTCOMES, repeat=4)
-    )
-
-
-def strategy_behavior(strategy: DeterministicStrategy) -> Behavior:
-    """The 0/1 behavior a strategy produces over the four detector settings."""
-    return Behavior({
-        setting: {c: float(c is strategy.joint(i, j)) for c in JOINT_OUTCOMES}
-        for setting, (i, j) in zip(HARDY_SETTINGS, product((0, 1), repeat=2))})
-
-
-# Per strategy, the four cells it picks, one per setting in canonical order:
-# strategy s = 8 l1 + 4 l2 + 2 r1 + r2 (outcome indices) picks, in setting
-# (i, j), the flat cell 4 (2 i + j) + 2 l_i + r_j.
+# The 16 strategies exist only as these two tables. Strategy s = 8 l1 + 4 l2
+# + 2 r1 + r2 (outcome indices: left bits major, R before G) picks, in setting
+# (i, j), the flat cell 4 (2 i + j) + 2 l_i + r_j; row s lists its four cells,
+# one per setting in canonical order.
 _STRATEGY_CELLS = [[4 * (2 * i + j) + 2 * (s >> (3 - i) & 1) + (s >> (1 - j) & 1)
                     for i in (0, 1) for j in (0, 1)] for s in range(16)]
 # Column s holds strategy s's behavior in the canonical flat cell order.
@@ -215,11 +178,15 @@ def _highs() -> _HighsLPs:
             _CORE, [os.path.join(scipy.__path__[0], "optimize", "_highspy")])
         if spec is None:
             raise ModuleNotFoundError(f"No module named {_CORE!r}", name=_CORE)
-        core = importlib.util.module_from_spec(spec)
-        # registered before it runs, as the import system does: a later
-        # `import scipy.optimize` finds it here and does not load it again
-        sys.modules[_CORE] = core
-        spec.loader.exec_module(core)
+        # registered before it runs and dropped if it fails to load, as the
+        # import system does: a later `import scipy.optimize` finds it here and
+        # does not load it again, and a later solve does not read half a module
+        try:
+            core = sys.modules[_CORE] = importlib.util.module_from_spec(spec)
+            spec.loader.exec_module(core)
+        except ImportError as exc:
+            sys.modules.pop(_CORE, None)
+            raise ImportError(str(exc), name=_CORE) from exc
 
     def options(**extra: float):
         # linprog(method="highs")'s settings; simplex strategy 1 is the dual simplex

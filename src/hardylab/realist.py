@@ -14,13 +14,12 @@ checkable question.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping
 
 from .qstate import (
     JOINT_OUTCOMES,
     JointOutcome,
     Outcome,
-    ProductState,
     SettingPair,
     TwoQubitState,
     born_table,
@@ -34,38 +33,21 @@ CANDIDATE_TOL = 1e-9  # probability match tolerance when comparing candidate set
 # pre-existing outcome candidates
 # ===========================================================================
 
-@dataclass(frozen=True)
-class PreexistingCandidate:
-    """A joint outcome the state could be carrying, with its Born weight."""
-
-    state: ProductState
-    probability: float
-
-
-def enumerate_preexisting(state: TwoQubitState) -> list[PreexistingCandidate]:
-    """Candidate pre-existing outcomes in the state's own basis pair.
+def enumerate_preexisting(state: TwoQubitState) -> dict[JointOutcome, float]:
+    """Candidate pre-existing outcomes in the state's own basis pair, each
+    with its Born weight, in canonical cell order.
 
     Cells whose Born probability is a structural zero are excluded: those
     outcomes can never be revealed, so nothing pre-exists there.
     """
-    table = born_table(state)
-    out = []
-    for cell in JOINT_OUTCOMES:
-        p = table[cell]
-        if p > 0.0:
-            out.append(PreexistingCandidate(
-                ProductState(state.left_basis, state.right_basis, cell.left, cell.right),
-                p,
-            ))
-    return out
+    return {cell: p for cell, p in born_table(state).items() if p > 0.0}
 
 
-def same_candidates(first: Sequence[PreexistingCandidate],
-                    second: Sequence[PreexistingCandidate]) -> bool:
-    """True when both lists hold the same cells, probabilities within CANDIDATE_TOL."""
-    a = {c.state.joint: c.probability for c in first}
-    b = {c.state.joint: c.probability for c in second}
-    return a.keys() == b.keys() and all(abs(a[k] - b[k]) <= CANDIDATE_TOL for k in a)
+def same_candidates(first: Mapping[JointOutcome, float],
+                    second: Mapping[JointOutcome, float]) -> bool:
+    """True when both maps hold the same cells, probabilities within CANDIDATE_TOL."""
+    return (first.keys() == second.keys()
+            and all(abs(p - second[cell]) <= CANDIDATE_TOL for cell, p in first.items()))
 
 
 # ===========================================================================

@@ -25,11 +25,9 @@ from hardylab.experiment import (
 )
 from hardylab.locality import (
     HARDY_SETTINGS,
-    deterministic_strategies,
     hardy_witness,
     local_membership,
     noncontextual_fraction,
-    strategy_behavior,
 )
 from hardylab.qstate import (
     JOINT_OUTCOMES,
@@ -57,6 +55,7 @@ from hardylab.realist import (
     is_noncontextual,
     same_candidates,
 )
+from test_locality import strategy_behaviors
 
 EXACT_FRACTION = 6233 / 51200
 
@@ -102,10 +101,10 @@ def test_03_candidate_distinguishability():
     assert same_candidates(candidates(phi_plus(), zz), candidates(phi_minus(), zz))
     plus, minus = candidates(phi_plus(), xx), candidates(phi_minus(), xx)
     assert not same_candidates(plus, minus)
-    assert [c.state.joint for c in plus] == [JointOutcome.RR, JointOutcome.GG]
-    assert [c.state.joint for c in minus] == [JointOutcome.RG, JointOutcome.GR]
-    for cand in (*plus, *minus):
-        assert abs(cand.probability - 0.5) <= 1e-12
+    assert list(plus) == [JointOutcome.RR, JointOutcome.GG]
+    assert list(minus) == [JointOutcome.RG, JointOutcome.GR]
+    for p in (*plus.values(), *minus.values()):
+        assert abs(p - 0.5) <= 1e-12
 
 
 def test_04_entangled_vs_mixture():
@@ -146,13 +145,13 @@ def test_06_polytope_membership():
     assert result.witness is not None
     assert result.witness.margin >= 0.09 - 1e-6
 
-    for k, strategy in enumerate(deterministic_strategies()):
-        res = local_membership(strategy_behavior(strategy))
+    vertices = strategy_behaviors()
+    for k, vertex in enumerate(vertices):
+        res = local_membership(vertex)
         assert res.verdict == "feasible"
         assert res.residual <= 1e-12
         assert abs(res.weights[k] - 1.0) <= 1e-9
 
-    vertices = [strategy_behavior(s) for s in deterministic_strategies()]
     columns = {
         (s, c): np.array([v.table[s][c] for v in vertices])
         for s in HARDY_SETTINGS for c in JOINT_OUTCOMES
@@ -169,7 +168,7 @@ def test_06_polytope_membership():
 
 def test_07_witness_extremes():
     """The witness caps at 0 deterministically and reaches 0.09 quantumly."""
-    values = [hardy_witness(strategy_behavior(s)) for s in deterministic_strategies()]
+    values = [hardy_witness(b) for b in strategy_behaviors()]
     assert max(values) == 0.0
     assert abs(hardy_witness(hardy_behavior()) - 0.09) <= 1e-12
 

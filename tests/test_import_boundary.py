@@ -202,3 +202,45 @@ class TestWithoutHighsBindings:
         proc = run_python(FIRST_ON_PATH, fake_scipy, "tables")
         assert proc.returncode == 0, proc.stderr
         assert "setting (2,2)" in proc.stdout
+
+
+# Runs local_membership twice on the Hardy rows with the directory argv[1]
+# first on sys.path, then prints one JSON line: each call's exception type and
+# message, and whether a module is left registered as scipy's _core.
+TWO_SOLVES = """
+import json, sys
+sys.path.insert(0, sys.argv.pop(1))
+from hardylab.locality import local_membership
+from hardylab.qstate import hardy_behavior
+errors = []
+for _ in range(2):
+    try:
+        local_membership(hardy_behavior())
+    except Exception as exc:
+        errors.append([type(exc).__name__, str(exc)])
+print(json.dumps([errors, "scipy.optimize._highspy._core" in sys.modules]))
+"""
+
+
+class TestBrokenHighsBindings(TestWithoutHighsBindings):
+    """The same cases with a scipy whose _core is found but raises ImportError
+    as it loads, and a second solve in the same process."""
+
+    @pytest.fixture
+    def fake_scipy(self, tmp_path) -> str:
+        core = tmp_path / "scipy" / "optimize" / "_highspy" / "_core.py"
+        core.parent.mkdir(parents=True)
+        (tmp_path / "scipy" / "__init__.py").write_text("", encoding="utf-8")
+        core.write_text('raise ImportError("libhighs.so: cannot open shared object file")\n',
+                        encoding="utf-8")
+        return str(tmp_path)
+
+    def test_every_solve_retries_the_load(self, fake_scipy):
+        proc = run_python(TWO_SOLVES, fake_scipy)
+        assert proc.returncode == 0, proc.stderr
+        errors, registered = json.loads(proc.stdout)
+        assert len(errors) == 2
+        assert errors[0] == errors[1]
+        assert errors[0][0] == "ImportError"
+        assert "libhighs.so" in errors[0][1]
+        assert registered is False

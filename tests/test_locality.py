@@ -21,12 +21,9 @@ from hardylab.locality import (
     FEAS_TOL,
     HARDY_SETTINGS,
     WITNESS_TOL,
-    DeterministicStrategy,
-    deterministic_strategies,
     hardy_witness,
     local_membership,
     noncontextual_fraction,
-    strategy_behavior,
 )
 from hardylab.experiment import ExperimentConfig, run_experiment, sample_assignments
 from hardylab.qstate import (
@@ -84,9 +81,7 @@ def behavior_from_rows(rows: list[float],
 
 
 def mixture_of_strategies(weights: np.ndarray) -> Behavior:
-    return mix_behaviors(
-        [(float(w), strategy_behavior(s))
-         for w, s in zip(weights, deterministic_strategies())])
+    return mix_behaviors([(float(w), b) for w, b in zip(weights, strategy_behaviors())])
 
 
 # ===========================================================================
@@ -94,34 +89,22 @@ def mixture_of_strategies(weights: np.ndarray) -> Behavior:
 # ===========================================================================
 
 class TestDeterministicStrategies:
-    def test_sixteen_distinct_in_canonical_order(self):
-        strategies = deterministic_strategies()
-        assert len(strategies) == 16
-        assert len(set(strategies)) == 16
-        assert [s.index for s in strategies] == list(range(16))
-
     def test_behavior_rows_are_indicator_rows(self):
-        for strategy in deterministic_strategies():
-            behavior = strategy_behavior(strategy)
+        for behavior in strategy_behaviors():
             for s in behavior.settings:
                 row = behavior.table[s]
                 assert sorted(row.values()) == [0.0, 0.0, 0.0, 1.0]
 
     def test_strategy_behaviors_never_signal(self):
-        for strategy in deterministic_strategies():
-            assert strategy_behavior(strategy).no_signaling_residual() == 0.0
-
-    def test_joint_matches_componentwise_responses(self):
-        strategy = DeterministicStrategy((Outcome.R, Outcome.G),
-                                         (Outcome.G, Outcome.R))
-        assert strategy.joint(0, 0) is JointOutcome.RG
-        assert strategy.joint(1, 1) is JointOutcome.GR
+        for behavior in strategy_behaviors():
+            assert behavior.no_signaling_residual() == 0.0
 
     def test_strategy_tables_match_strategy_behaviors(self):
         """The LP's vertex matrix and each strategy's picked cells, built by
-        index arithmetic, equal those read off the 16 strategy behaviors."""
-        vertices = np.array([[p for _, _, p in strategy_behavior(s).cells()]
-                             for s in deterministic_strategies()]).T
+        index arithmetic, equal the oracle's 16 assignments in its order."""
+        vertices = np.array([[float(c == a[s]) for s in oracles.SETTINGS for c in oracles.JOINT]
+                             for a in oracles.strategies()]).T
+        assert np.unique(vertices, axis=1).shape == (16, 16)
         np.testing.assert_array_equal(locality._VERTICES, vertices)
         assert locality._STRATEGY_CELLS == np.nonzero(vertices.T)[1].reshape(16, 4).tolist()
 
@@ -144,17 +127,15 @@ class TestHardyWitness:
                      - (1.0 if (l1, r1) == (Outcome.R, Outcome.R) else 0.0))
             best = max(best, score)
         assert best == 0.0
-        assert max(hardy_witness(strategy_behavior(s))
-                   for s in deterministic_strategies()) == 0.0
+        assert max(hardy_witness(b) for b in strategy_behaviors()) == 0.0
 
     def test_linear_under_mixing(self):
         rng = np.random.default_rng(7)
-        strategies = deterministic_strategies()
+        strategies = strategy_behaviors()
         for _ in range(25):
             w = rng.dirichlet(np.ones(3))
             picks = rng.choice(16, size=3, replace=False)
-            parts = [(float(w[k]), strategy_behavior(strategies[picks[k]]))
-                     for k in range(3)]
+            parts = [(float(w[k]), strategies[picks[k]]) for k in range(3)]
             mixed = hardy_witness(mix_behaviors(parts))
             expected = sum(wk * hardy_witness(bk) for wk, bk in parts)
             assert mixed == pytest.approx(expected, abs=1e-12)
@@ -171,8 +152,8 @@ class TestHardyWitness:
 
 class TestLocalMembership:
     def test_every_vertex_is_feasible_with_unit_weight(self):
-        for k, strategy in enumerate(deterministic_strategies()):
-            result = local_membership(strategy_behavior(strategy))
+        for k, behavior in enumerate(strategy_behaviors()):
+            result = local_membership(behavior)
             assert result.verdict == "feasible"
             assert result.residual <= 1e-12
             assert result.weights[k] == pytest.approx(1.0, abs=1e-9)
@@ -207,17 +188,15 @@ class TestLocalMembership:
                     for (s, c), coef in witness.coefficients.items())
         assert value == pytest.approx(witness.value, abs=1e-9)
         det_max = max(
-            sum(coef * strategy_behavior(strat).prob(s, c)
-                for (s, c), coef in witness.coefficients.items())
-            for strat in deterministic_strategies())
+            sum(coef * strat.prob(s, c) for (s, c), coef in witness.coefficients.items())
+            for strat in strategy_behaviors())
         assert det_max == pytest.approx(witness.deterministic_max, abs=1e-9)
         assert value - det_max >= 0.09 - 1e-6
 
     def test_near_boundary_point_stays_feasible(self):
         """A mix sitting on the polytope surface should not be rejected."""
-        strategies = deterministic_strategies()
-        half = mix_behaviors([(0.5, strategy_behavior(strategies[0])),
-                              (0.5, strategy_behavior(strategies[15]))])
+        strategies = strategy_behaviors()
+        half = mix_behaviors([(0.5, strategies[0]), (0.5, strategies[15])])
         result = local_membership(half)
         assert result.verdict == "feasible"
         assert result.residual <= FEAS_TOL
@@ -497,8 +476,7 @@ class TestNoncontextualFraction:
             1 / 16, abs=1e-12)
 
     def test_deterministic_strategy_rows_give_one(self):
-        strategy = deterministic_strategies()[6]
-        assert noncontextual_fraction(strategy_behavior(strategy)) == pytest.approx(
+        assert noncontextual_fraction(strategy_behaviors()[6]) == pytest.approx(
             1.0, abs=1e-12)
 
     def test_monte_carlo_agrees(self):
@@ -579,6 +557,12 @@ def table_behavior(table: dict[str, dict[str, float]]) -> Behavior:
 
 def vertex_table(assignment: dict[str, str]) -> dict[str, dict[str, float]]:
     return {s: {c: float(c == assignment[s]) for c in CELL_NAMES} for s in oracles.SETTINGS}
+
+
+def strategy_behaviors() -> list[Behavior]:
+    """The 16 strategy behaviors in canonical order, built from the oracle's
+    assignments, not from locality's tables."""
+    return [table_behavior(vertex_table(a)) for a in oracles.strategies()]
 
 
 def mix_tables(pairs: list[tuple[float, dict]]) -> dict[str, dict[str, float]]:

@@ -22,7 +22,6 @@ from hardylab.qstate import (
 from hardylab.realist import (
     CANDIDATE_TOL,
     ContextAssignment,
-    PreexistingCandidate,
     enumerate_preexisting,
     is_noncontextual,
     reveal,
@@ -52,31 +51,23 @@ def assignment_from(quad: tuple[JointOutcome, ...]) -> ContextAssignment:
 class TestEnumeratePreexisting:
     def test_hardy_native_basis_has_three_candidates(self):
         cands = enumerate_preexisting(hardy_state())
-        assert [c.state.joint.value for c in cands] == ["RG", "GR", "GG"]
-        assert [c.probability for c in cands] == pytest.approx(
-            [0.375, 0.375, 0.25], abs=1e-12)
+        assert [c.value for c in cands] == ["RG", "GR", "GG"]
+        assert list(cands.values()) == pytest.approx([0.375, 0.375, 0.25], abs=1e-12)
 
     def test_forbidden_cell_is_not_a_candidate(self):
         from hardylab.qstate import rebasis
         st = rebasis(hardy_state(), right=hardy_basis_change())
-        joints = {c.state.joint for c in enumerate_preexisting(st)}
-        assert JointOutcome.GG not in joints
+        assert JointOutcome.GG not in enumerate_preexisting(st)
 
     def test_product_state_has_single_certain_candidate(self):
         st = ProductState("z", "z", Outcome.G, Outcome.R).to_state()
         cands = enumerate_preexisting(st)
-        assert len(cands) == 1
-        assert cands[0].state.joint is JointOutcome.GR
-        assert cands[0].probability == pytest.approx(1.0, abs=1e-12)
-
-    def test_candidates_carry_basis_labels(self):
-        for cand in enumerate_preexisting(hardy_state()):
-            assert (cand.state.left_basis, cand.state.right_basis) == ("1", "1")
+        assert list(cands) == [JointOutcome.GR]
+        assert cands[JointOutcome.GR] == pytest.approx(1.0, abs=1e-12)
 
 
-def candidates(**probs: float) -> list[PreexistingCandidate]:
-    return [PreexistingCandidate(ProductState("z", "z", Outcome(k[0]), Outcome(k[1])), p)
-            for k, p in probs.items()]
+def candidates(**probs: float) -> dict[JointOutcome, float]:
+    return {JointOutcome(k): p for k, p in probs.items()}
 
 
 class TestSameCandidates:
@@ -90,12 +81,17 @@ class TestSameCandidates:
         assert not same_candidates(candidates(RR=0.5, GG=0.5),
                                    candidates(RR=0.5 + 2 * CANDIDATE_TOL, GG=0.5))
 
+    def test_difference_of_exactly_the_tolerance_matches(self):
+        low, high = CANDIDATE_TOL, 2 * CANDIDATE_TOL  # they differ by exactly the tolerance
+        assert high - low == CANDIDATE_TOL
+        assert same_candidates(candidates(RR=0.5, GG=low), candidates(RR=0.5, GG=high))
+
     def test_different_cells_differ(self):
         assert not same_candidates(candidates(RR=0.5, GG=0.5), candidates(RG=0.5, GR=0.5))
         assert not same_candidates(candidates(RR=1.0), candidates(RR=1.0, GG=0.0))
 
     def test_empty_lists_match(self):
-        assert same_candidates([], [])
+        assert same_candidates({}, {})
 
 
 # ===========================================================================
