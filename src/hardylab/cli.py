@@ -115,9 +115,9 @@ def parse_behavior_json(text: str) -> Behavior:
         raise ValueError("behavior file must be a non-empty JSON object keyed by setting")
     table: dict[SettingPair, dict[JointOutcome, float]] = {}
     for key, row in data.items():
-        if not isinstance(key, str) or len(key) != 2:
+        if not isinstance(key, str) or len(key) != 2 or not key.isprintable():
             raise ValueError(
-                f"bad setting key {key!r}: expected two basis labels, e.g. \"12\"")
+                f"bad setting key {key!r}: expected two printable basis labels, e.g. \"12\"")
         if not isinstance(row, dict):
             raise ValueError(f"setting {key!r} must map outcome names to probabilities")
         unknown = set(row) - {c.value for c in JOINT_OUTCOMES}
@@ -504,6 +504,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         return args.func(args)
     except (OSError, ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError:  # its message is often empty
+        print(f"error: {args.command} ran out of memory", file=sys.stderr)
         return 1
     except KeyboardInterrupt:
         print("error: interrupted", file=sys.stderr)

@@ -131,11 +131,11 @@ def sample_assignments(behavior: Behavior, rng: np.random.Generator,
                        n: int) -> np.ndarray:
     """n pre-existing assignments, one outcome index per setting.
 
-    Returns an (n, settings) uint8 array: entry [i, k] is the index into
-    JOINT_OUTCOMES of the outcome that assignment i holds for
-    behavior.settings[k]. The n * settings uniforms are drawn in C order and
-    each index is counted against the row boundaries as in _run_shard, so a
-    realist-mode trial reveals one entry of such an assignment.
+    Returns an (n, settings) uint8 array, classified by realist.is_noncontextual:
+    entry [i, k] is the index into JOINT_OUTCOMES of the outcome that row i
+    holds for behavior.settings[k]. The n * settings uniforms are drawn in C
+    order and each index is counted against the row boundaries as in
+    _run_shard, so a realist-mode trial reveals one entry of such a row.
     """
     u = rng.random((n, len(behavior.settings)))
     idx = np.zeros(u.shape, dtype=np.uint8)

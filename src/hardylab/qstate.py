@@ -311,8 +311,8 @@ class Behavior:
                 margs.setdefault(getattr(setting, side), []).append(
                     [sum(p for cell, p in row.items() if getattr(cell, side) is o)
                      for o in OUTCOMES])
-            for per_setting in margs.values():
-                for column in zip(*per_setting):
+            for marginals in margs.values():
+                for column in zip(*marginals):
                     worst = max(worst, max(column) - min(column))
         return worst
 

@@ -3,35 +3,23 @@
 Every setting pair carries a definite pre-existing joint outcome; measuring
 a pair only uncovers the outcome already assigned to it. Assignments are
 drawn independently per setting with Born weights, so single-run statistics
-reproduce the quantum rows by construction. They come in batches from
-experiment.sample_assignments, and a realist-mode trial of the experiment
-reveals one entry of such an assignment. Rows are renormalized to sum to
-exactly 1 before drawing, so the slack of a row that sums to 1 within 1e-9
-is shared among its cells in proportion to their weight. Whether one
-assignment can be explained by per-side response functions is a separate,
-checkable question.
+reproduce the quantum rows by construction. experiment.sample_assignments
+draws them as rows of outcome indices, one column per setting, and a
+realist-mode trial reveals one entry of such a row. Each row of weights is
+renormalized to exactly 1 first, so a slack within 1e-9 is shared among its
+cells in proportion to their weight. is_noncontextual answers the separate
+question whether an assignment factors through per-side response functions.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Mapping
 
-from .qstate import (
-    JOINT_OUTCOMES,
-    JointOutcome,
-    Outcome,
-    SettingPair,
-    TwoQubitState,
-    born_table,
-    setting_rows,
-)
+import numpy as np
+
+from .qstate import Behavior, JointOutcome, TwoQubitState, born_table
 
 CANDIDATE_TOL = 1e-9  # probability match tolerance when comparing candidate sets
 
-
-# ===========================================================================
-# pre-existing outcome candidates
-# ===========================================================================
 
 def enumerate_preexisting(state: TwoQubitState) -> dict[JointOutcome, float]:
     """Candidate pre-existing outcomes in the state's own basis pair, each
@@ -50,44 +38,26 @@ def same_candidates(first: Mapping[JointOutcome, float],
             and all(abs(p - second[cell]) <= CANDIDATE_TOL for cell, p in first.items()))
 
 
-# ===========================================================================
-# context assignments
-# ===========================================================================
+def is_noncontextual(behavior: Behavior, rows: np.ndarray) -> np.ndarray:
+    """One bool per assignment row: True where it factors through per-side
+    response functions.
 
-@dataclass(frozen=True, eq=False)
-class ContextAssignment:
-    """One definite joint outcome per setting pair, fixed before measurement."""
-
-    per_setting: Mapping[SettingPair, JointOutcome]
-
-    def __post_init__(self) -> None:
-        if not self.per_setting:
-            raise ValueError("assignment needs at least one setting")
-        unknown = [o for o in self.per_setting.values() if o not in JOINT_OUTCOMES]
-        if unknown:
-            raise ValueError(f"assignment has unknown outcomes {unknown}")
-        object.__setattr__(self, "per_setting", dict(setting_rows(self.per_setting)))
-
-
-def reveal(assignment: ContextAssignment, chosen: SettingPair) -> JointOutcome:
-    """Uncover the outcome already assigned to the chosen setting."""
-    try:
-        return assignment.per_setting[chosen]
-    except KeyError:
-        raise ValueError(f"assignment has no setting {chosen}") from None
-
-
-def is_noncontextual(assignment: ContextAssignment) -> bool:
-    """True when the assignment factors through per-side response functions.
-
-    Equivalently: the left letter depends only on the left label and the
-    right letter only on the right label, across the assignment's settings.
+    Entry [i, k] is the outcome index 2 l + r that row i assigns to
+    behavior.settings[k], as experiment.sample_assignments returns them. A
+    row factors when all settings that share a left label agree on its left
+    letter (index >> 1), and all that share a right label on its right
+    letter (index & 1).
     """
-    left_fn: dict[str, Outcome] = {}
-    right_fn: dict[str, Outcome] = {}
-    for setting, outcome in assignment.per_setting.items():
-        if left_fn.setdefault(setting.left, outcome.left) != outcome.left:
-            return False
-        if right_fn.setdefault(setting.right, outcome.right) != outcome.right:
-            return False
-    return True
+    rows = np.asarray(rows)
+    if rows.ndim != 2 or rows.shape[1] != len(behavior.settings):
+        raise ValueError(f"assignment rows of shape {rows.shape} need one column per setting")
+    bad = np.unique(rows[~np.isin(rows, range(4))]).tolist()
+    if bad:
+        raise ValueError(f"assignment rows hold entries that are not outcome indices 0-3: {bad}")
+    rows = rows.astype(np.uint8, copy=False)
+    ok = np.ones(len(rows), dtype=bool)
+    for side, letters in ((0, rows >> 1), (1, rows & 1)):
+        first: dict[str, int] = {}  # label -> column of its first setting
+        for k, setting in enumerate(behavior.settings):
+            ok &= letters[:, k] == letters[:, first.setdefault(setting[side], k)]
+    return ok

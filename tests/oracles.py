@@ -122,6 +122,24 @@ def strategies() -> list[dict[str, str]]:
     return out
 
 
+def is_noncontextual(assignment: dict) -> bool:
+    """True when an assignment factors through per-side response functions.
+
+    The assignment maps each setting, a (left label, right label) pair or a
+    two-character string such as "12", to a cell name such as "RG". It
+    factors when the left letter depends only on the left label and the
+    right letter only on the right label.
+    """
+    left_fn: dict[str, str] = {}
+    right_fn: dict[str, str] = {}
+    for (left, right), cell in assignment.items():
+        if left_fn.setdefault(left, cell[0]) != cell[0]:
+            return False
+        if right_fn.setdefault(right, cell[1]) != cell[1]:
+            return False
+    return True
+
+
 def hardy_witness(behavior: dict[str, dict[str, sp.Expr]]) -> sp.Expr:
     return sp.nsimplify(behavior["22"]["GG"] - behavior["12"]["GG"]
                         - behavior["21"]["GG"] - behavior["11"]["RR"])

@@ -49,12 +49,7 @@ from hardylab.qstate import (
     rebase_state_to,
     zx_change,
 )
-from hardylab.realist import (
-    ContextAssignment,
-    enumerate_preexisting,
-    is_noncontextual,
-    same_candidates,
-)
+from hardylab.realist import enumerate_preexisting, is_noncontextual, same_candidates
 from test_locality import strategy_behaviors
 
 EXACT_FRACTION = 6233 / 51200
@@ -175,15 +170,12 @@ def test_07_witness_extremes():
 
 def test_08_assignment_classification():
     """Factorizability test, exact noncontextual mass, and sampled agreement."""
-    sampled = ContextAssignment({
-        SettingPair("1", "1"): JointOutcome.RG,
-        SettingPair("1", "2"): JointOutcome.GR,
-        SettingPair("2", "1"): JointOutcome.RR,
-        SettingPair("2", "2"): JointOutcome.RR,
-    })
-    assert not is_noncontextual(sampled)
-
     behavior = hardy_behavior()
+    # outcome indices for settings 11, 12, 21, 22: RG, GR, RR, RR
+    sampled = [[c.index for c in (JointOutcome.RG, JointOutcome.GR,
+                                  JointOutcome.RR, JointOutcome.RR)]]
+    assert not is_noncontextual(behavior, sampled).any()
+
     rows = {s: behavior.table[s] for s in behavior.settings}
     brute = 0.0  # independent sum over the 16 per-side response quadruples
     for l1, l2, r1, r2 in product(OUTCOMES, repeat=4):
@@ -198,13 +190,7 @@ def test_08_assignment_classification():
 
     n = 10 ** 6
     rng = np.random.default_rng(314159)
-    codes = sample_assignments(behavior, rng, n).astype(np.intp) @ [64, 16, 4, 1]
-    counts = np.bincount(codes, minlength=256)  # base-4 codes, in product() order
-    hits = 0
-    for code, quad in enumerate(product(JOINT_OUTCOMES, repeat=4)):
-        if counts[code]:
-            assignment = ContextAssignment(dict(zip(behavior.settings, quad)))
-            hits += int(counts[code]) * is_noncontextual(assignment)
+    hits = int(is_noncontextual(behavior, sample_assignments(behavior, rng, n)).sum())
     se = math.sqrt(EXACT_FRACTION * (1 - EXACT_FRACTION) / n)
     assert abs(hits / n - EXACT_FRACTION) < 5 * se
 

@@ -1,14 +1,21 @@
 """Command-line behavior: formats, exit codes, and byte-stable output."""
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import re
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oracles
 from hardylab.cli import main, parse_behavior_json
 from hardylab.qstate import JOINT_OUTCOMES, hardy_behavior
-from test_locality import oracle_table
+from test_locality import oracle_table, vertex_table
 
 UNIFORM_ROWS = {key: {c.value: 0.25 for c in JOINT_OUTCOMES}
                 for key in ("11", "12", "21", "22")}
@@ -35,6 +42,14 @@ def assert_interrupted(capsys, *argv: str) -> None:
         pytest.fail("KeyboardInterrupt escaped main")
     assert code == 130
     assert err == "error: interrupted\n"
+
+
+def assert_out_of_memory(capsys, *argv: str) -> None:
+    """A MemoryError exits 1 with one stderr line that says so, and no traceback."""
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err == f"error: {argv[0]} ran out of memory\n"
 
 
 # ===========================================================================
@@ -156,6 +171,15 @@ class TestSimulate:
         monkeypatch.setattr(cli, "shard_codes", interrupted_at_second_shard)
         assert_interrupted(capsys, "simulate", "--trials", str(2 * 65536),
                            "--log", str(tmp_path / "log.csv"))
+
+    def test_memory_error_while_sampling_prints_one_line(self, capsys, monkeypatch):
+        import hardylab.experiment as experiment
+
+        def out_of_memory(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr(experiment, "_run_shard", out_of_memory)
+        assert_out_of_memory(capsys, "simulate", "--trials", "1000")
 
     def test_rejects_zero_trials(self, capsys):
         err = run_usage_error(capsys, "simulate", "--trials", "0")
@@ -363,6 +387,16 @@ class TestCheckLocal:
         assert code == 1
         assert "error:" in err
 
+    def test_memory_error_while_parsing_prints_one_line(self, capsys, tmp_path, monkeypatch):
+        import hardylab.cli as cli
+
+        def out_of_memory(text):
+            raise MemoryError
+
+        monkeypatch.setattr(cli, "parse_behavior_json", out_of_memory)
+        assert_out_of_memory(capsys, "check-local", "--behavior",
+                             self.write(tmp_path, UNIFORM_ROWS))
+
     def test_solver_failure_exits_one(self, capsys, tmp_path, monkeypatch):
         import hardylab.cli as cli
 
@@ -414,6 +448,114 @@ class TestBehaviorSchema:
         parsed = parse_behavior_json(json.dumps(rows))
         assert parsed.prob(("1", "1"), JOINT_OUTCOMES[0]) == 1.0
 
+    @pytest.mark.parametrize("key", ["1\n", "\u20282", "1\x85", "\ud8001"])
+    def test_setting_key_that_breaks_a_line_is_rejected(self, key):
+        """Labels reach error messages as they are, so each must be printable."""
+        text = json.dumps({key: UNIFORM_ROWS["11"], **UNIFORM_ROWS})
+        with pytest.raises(ValueError, match=re.escape(f"bad setting key {key!r}: expected two "
+                                                       "printable basis labels")):
+            parse_behavior_json(text)
+
     def test_top_level_must_be_object(self):
         with pytest.raises(ValueError, match="non-empty JSON object"):
             parse_behavior_json("[]")
+
+
+# ===========================================================================
+# the failure contract for check-local files
+# ===========================================================================
+
+# A behavior file as text parts: (setting key, [(cell name, value token)]),
+# written out by hand so that a key can be repeated.
+VALID_FILES = [
+    [(key, [(cell, json.dumps(p)) for cell, p in row.items()]) for key, row in table.items()]
+    for table in (oracle_table(hardy_behavior()), UNIFORM_ROWS,
+                  vertex_table(oracles.strategies()[6]))
+]
+LABEL_CHARS = st.sampled_from("\n\x85\u2028\r\ud800 a12")
+ODD_KEYS = st.tuples(LABEL_CHARS, LABEL_CHARS).map("".join) | st.text(LABEL_CHARS, max_size=3)
+ODD_TOKENS = st.sampled_from(['"0.25"', "true", "false", "null", "NaN", "-Infinity", "1e400",
+                              str(10 ** 400), "[]", "{}"])
+
+
+def file_text(parts) -> str:
+    rows = (json.dumps(key) + ": {" + ", ".join(json.dumps(c) + ": " + v for c, v in row) + "}"
+            for key, row in parts)
+    return "{" + ", ".join(rows) + "}"
+
+
+EDITS = ("nudge", "token", "drop-cell", "drop-setting", "repeat-cell", "repeat-setting",
+         "rename-cell", "rename-setting")
+
+
+@st.composite
+def perturbed_files(draw) -> str:
+    """A valid behavior file with up to two edits: a cell nudged by
+    +-1e-12 to 1e-3; a value made a string, bool, NaN or 1e400; or a cell or
+    setting dropped, repeated or renamed."""
+    parts = [(key, list(row)) for key, row in draw(st.sampled_from(VALID_FILES))]
+    for edit in draw(st.lists(st.sampled_from(EDITS), max_size=2)):
+        k = draw(st.integers(0, len(parts) - 1))
+        key, row = parts[k]
+        if not row:
+            continue
+        j = draw(st.integers(0, len(row) - 1))
+        cell, value = row[j]
+        if edit == "nudge" and re.fullmatch(r"[-.\deE]+", value):  # a JSON number
+            step = 10 ** draw(st.floats(-12, -3)) * draw(st.sampled_from([1, -1]))
+            row[j] = (cell, repr(float(value) + step))
+        elif edit == "token":
+            row[j] = (cell, draw(ODD_TOKENS))
+        elif edit == "drop-cell":
+            del row[j]
+        elif edit == "drop-setting" and len(parts) > 1:
+            del parts[k]
+        elif edit == "repeat-cell":
+            row.append(row[j])
+        elif edit == "repeat-setting":
+            parts.append(parts[k])
+        elif edit == "rename-cell":
+            row[j] = (draw(st.text(st.sampled_from("RGr\n"), max_size=3)), value)
+        elif edit == "rename-setting":
+            parts[k] = (draw(ODD_KEYS), row)
+    return file_text(parts)
+
+
+arbitrary_json = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=3), inner,
+                                                                max_size=4),
+    max_leaves=20).map(json.dumps)
+
+
+def check_local_keeps_the_contract(text: str, fmt: str) -> None:
+    """Exit 0 or 2 prints nothing to stderr, and its JSON carries
+    format_version; exit 1 prints one "error:" line and no stdout."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "behavior.json"
+        path.write_text(text, encoding="utf-8")
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["check-local", "--behavior", str(path), "--format", fmt])
+    out, err = out.getvalue(), err.getvalue()
+    assert code in (0, 1, 2)
+    if code == 1:
+        assert out == ""
+        assert err.startswith("error: ") and len(err) > len("error: \n")
+        assert err.endswith("\n") and err.splitlines() == [err[:-1]]
+    else:
+        assert err == ""
+        if fmt == "json":
+            assert json.loads(out)["format_version"] == 1
+
+
+class TestFailureContract:
+    @settings(derandomize=True, deadline=None, max_examples=150)
+    @given(perturbed_files(), st.sampled_from(["text", "json"]))
+    def test_perturbed_behavior_files(self, text, fmt):
+        check_local_keeps_the_contract(text, fmt)
+
+    @settings(derandomize=True, deadline=None)
+    @given(arbitrary_json, st.sampled_from(["text", "json"]))
+    def test_arbitrary_json_files(self, text, fmt):
+        check_local_keeps_the_contract(text, fmt)

@@ -37,7 +37,7 @@ from hardylab.qstate import (
     make_state,
     quantum_behavior,
 )
-from hardylab.realist import ContextAssignment, is_noncontextual
+from hardylab.realist import is_noncontextual
 
 EXACT_FRACTION = 6233 / 51200  # closed form of the Hardy noncontextual mass
 
@@ -484,13 +484,7 @@ class TestNoncontextualFraction:
         n = 200000
         rng = np.random.default_rng(99)
         behavior = hardy_behavior()
-        codes = sample_assignments(behavior, rng, n).astype(np.intp) @ [64, 16, 4, 1]
-        counts = np.bincount(codes, minlength=256)  # base-4 codes, in product() order
-        hits = 0
-        for code, quad in enumerate(product(JOINT_OUTCOMES, repeat=4)):
-            if counts[code]:
-                assignment = ContextAssignment(dict(zip(behavior.settings, quad)))
-                hits += int(counts[code]) * is_noncontextual(assignment)
+        hits = int(is_noncontextual(behavior, sample_assignments(behavior, rng, n)).sum())
         se = np.sqrt(EXACT_FRACTION * (1 - EXACT_FRACTION) / n)
         assert abs(hits / n - EXACT_FRACTION) < 5 * se
 
@@ -505,30 +499,24 @@ class TestNoncontextualFraction:
         """All 256 assignments, kept where realist.is_noncontextual holds."""
         rng = np.random.default_rng(31)
         label_pairs = [("1", "2"), ("x", "z"), ("a", "b")]
+        combos = np.array(list(product(range(4), repeat=4)), dtype=np.uint8)
         for k in range(50):
             left = label_pairs[k % 3]
             right = label_pairs[(k // 3) % 3]
             alpha = 0.2 if k % 2 else 1.0
             rows = [p for _ in range(4) for p in rng.dirichlet(alpha * np.ones(4))]
             behavior = behavior_from_rows(rows, left, right)
-            reference = 0.0
-            for combo in product(JOINT_OUTCOMES, repeat=4):
-                assignment = ContextAssignment(dict(zip(behavior.settings, combo)))
-                if is_noncontextual(assignment):
-                    reference += np.prod([behavior.table[s][c]
-                                          for s, c in zip(behavior.settings, combo)])
+            cells = np.array([list(behavior.table[s].values()) for s in behavior.settings])
+            kept = combos[is_noncontextual(behavior, combos)]
+            reference = np.prod(cells[np.arange(4), kept], axis=1).sum()
             assert noncontextual_fraction(behavior) == pytest.approx(reference, abs=1e-12)
 
 
 class TestAssignmentClassification:
     def test_revealed_quadruple_without_per_side_functions(self):
-        assignment = ContextAssignment({
-            SettingPair("1", "1"): JointOutcome.RG,
-            SettingPair("1", "2"): JointOutcome.GR,
-            SettingPair("2", "1"): JointOutcome.RR,
-            SettingPair("2", "2"): JointOutcome.RR,
-        })
-        assert not is_noncontextual(assignment)
+        row = [[c.index for c in (JointOutcome.RG, JointOutcome.GR,
+                                  JointOutcome.RR, JointOutcome.RR)]]
+        assert is_noncontextual(hardy_behavior(), row).tolist() == [False]
 
 
 # ===========================================================================

@@ -33,7 +33,6 @@ from hardylab.qstate import (
     resolve_change,
     zx_change,
 )
-from hardylab.realist import ContextAssignment, reveal
 
 # Frozen joint-probability rows, exact decimals confirmed by oracles.py.
 HARDY_ROWS = {
@@ -344,13 +343,12 @@ class TestBehaviorValidation:
 
 
 class TestSettingKeys:
-    """Behavior, FrequencyTable and ContextAssignment share one key check."""
+    """Behavior and FrequencyTable share one key check."""
 
     @pytest.mark.parametrize("build", [
         lambda key: Behavior({key: {c: 0.25 for c in JOINT_OUTCOMES}}),
         lambda key: FrequencyTable({key: {JointOutcome.RR: 1}}),
-        lambda key: ContextAssignment({key: JointOutcome.RR}),
-    ], ids=["Behavior", "FrequencyTable", "ContextAssignment"])
+    ], ids=["Behavior", "FrequencyTable"])
     @pytest.mark.parametrize("key", ["11", ("1", "1", "1"), 5, (1, 2), ("1", 2)],
                              ids=["str", "triple", "int", "int-labels", "str-int-labels"])
     def test_key_that_is_not_a_label_pair_is_named(self, build, key):
@@ -369,8 +367,6 @@ class TestSettingKeys:
             beh.prob(key, JointOutcome.RR)
         with pytest.raises(ValueError, match="no setting"):
             beh.row(key)
-        with pytest.raises(ValueError, match="no setting"):
-            reveal(ContextAssignment({("1", "2"): JointOutcome.RR}), key)
         freq = FrequencyTable({("1", "2"): {JointOutcome.RR: 3}})
         assert freq.count(key, JointOutcome.RR) == freq.setting_total(key) == 0
         assert freq.count(("1", "2"), JointOutcome.RR) == freq.setting_total(("1", "2")) == 3

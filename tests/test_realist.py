@@ -1,4 +1,4 @@
-"""Measurement-as-reveal model: candidates, assignments, contextuality."""
+"""Measurement-as-reveal model: candidates, assignment rows, contextuality."""
 from __future__ import annotations
 
 import re
@@ -6,8 +6,12 @@ from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oracles
 from hardylab.experiment import sample_assignments
+from hardylab.locality import noncontextual_fraction
 from hardylab.qstate import (
     JOINT_OUTCOMES,
     Behavior,
@@ -21,27 +25,36 @@ from hardylab.qstate import (
 )
 from hardylab.realist import (
     CANDIDATE_TOL,
-    ContextAssignment,
     enumerate_preexisting,
     is_noncontextual,
-    reveal,
     same_candidates,
 )
 
 HARDY_SETTINGS = tuple(SettingPair(l, r) for l in "12" for r in "12")
 
+
+def row_of(*cells: JointOutcome) -> list[int]:
+    """One assignment row: the outcome index of each setting's cell."""
+    return [c.index for c in cells]
+
+
 # A sampled assignment that cannot come from per-side response functions:
 # the left outcome under left setting 1 depends on the remote setting.
-CONTEXTUAL_EXAMPLE = ContextAssignment({
-    SettingPair("1", "1"): JointOutcome.RG,
-    SettingPair("1", "2"): JointOutcome.GR,
-    SettingPair("2", "1"): JointOutcome.RR,
-    SettingPair("2", "2"): JointOutcome.RR,
-})
+# Settings 11, 12, 21, 22 hold RG, GR, RR, RR.
+CONTEXTUAL_EXAMPLE = row_of(JointOutcome.RG, JointOutcome.GR, JointOutcome.RR, JointOutcome.RR)
+ALL_QUADS = np.array(list(product(range(4), repeat=4)), dtype=np.uint8)  # every row over four settings
 
 
-def assignment_from(quad: tuple[JointOutcome, ...]) -> ContextAssignment:
-    return ContextAssignment(dict(zip(HARDY_SETTINGS, quad)))
+def behavior_over(labels) -> Behavior:
+    """A behavior over the given (left, right) label pairs; only its settings matter here."""
+    return Behavior({tuple(s): {c: 0.25 for c in JOINT_OUTCOMES} for s in labels})
+
+
+def reference(behavior: Behavior, rows: np.ndarray) -> list[bool]:
+    """oracles.is_noncontextual on each row, read as label pairs and cell names."""
+    return [oracles.is_noncontextual({tuple(s): oracles.JOINT[i]
+                                      for s, i in zip(behavior.settings, row)})
+            for row in rows.tolist()]
 
 
 # ===========================================================================
@@ -165,59 +178,116 @@ class TestSampleContext:
                 assert abs(counts[cell.index] / n - p) < 5 * sigma
 
 
-class TestReveal:
-    def test_reveals_the_assigned_outcome(self):
-        assert reveal(CONTEXTUAL_EXAMPLE, SettingPair("1", "1")) is JointOutcome.RG
-        assert reveal(CONTEXTUAL_EXAMPLE, SettingPair("2", "2")) is JointOutcome.RR
-
-    def test_unknown_setting_is_an_error(self):
-        with pytest.raises(ValueError, match="no setting"):
-            reveal(CONTEXTUAL_EXAMPLE, SettingPair("z", "z"))
-
-    def test_plain_tuple_keys_become_setting_pairs(self):
-        a = ContextAssignment({tuple(s): CONTEXTUAL_EXAMPLE.per_setting[s]
-                               for s in reversed(HARDY_SETTINGS)})
-        assert list(a.per_setting) == list(HARDY_SETTINGS)
-        assert all(type(s) is SettingPair for s in a.per_setting)
-        assert a.per_setting == CONTEXTUAL_EXAMPLE.per_setting
-        assert reveal(a, ("2", "2")) is JointOutcome.RR
-
-
 # ===========================================================================
 # contextuality
 # ===========================================================================
 
+# Label sets off the Hardy grid: one setting; two that share no label; three
+# that share left label 1; and the 3 x 2 grid {1, 2, 3} x {1, 2}.
+OFF_GRID = {
+    "one": [("1", "1")],
+    "disjoint": [("1", "1"), ("2", "2")],
+    "shared-left": [("1", "1"), ("1", "2"), ("1", "3")],
+    "three-by-two": list(product("123", "12")),
+}
+
+
 class TestIsNoncontextual:
     def test_contextual_example_is_detected(self):
-        assert is_noncontextual(CONTEXTUAL_EXAMPLE) is False
+        result = is_noncontextual(hardy_behavior(), [CONTEXTUAL_EXAMPLE])
+        assert result.dtype == bool
+        assert result.tolist() == [False]
 
     def test_factorizable_assignment_passes(self):
         # left: 1->R, 2->G; right: 1->G, 2->R
-        quad = (JointOutcome.RG, JointOutcome.RR, JointOutcome.GG, JointOutcome.GR)
-        assert is_noncontextual(assignment_from(quad)) is True
+        row = row_of(JointOutcome.RG, JointOutcome.RR, JointOutcome.GG, JointOutcome.GR)
+        assert is_noncontextual(hardy_behavior(), [row]).tolist() == [True]
 
     def test_matches_per_side_function_enumeration(self):
         """Agrees with brute force over all 16 per-side function pairs."""
         factorizable = set()
         for l1, l2, r1, r2 in product(Outcome, repeat=4):
-            quad = tuple(JointOutcome.from_outcomes(l, r)
+            quad = tuple(JointOutcome.from_outcomes(l, r).index
                          for l, r in ((l1, r1), (l1, r2), (l2, r1), (l2, r2)))
             factorizable.add(quad)
         assert len(factorizable) == 16
-        for quad in product(JOINT_OUTCOMES, repeat=4):
-            expected = quad in factorizable
-            assert is_noncontextual(assignment_from(quad)) is expected
+        expected = [quad in factorizable for quad in map(tuple, ALL_QUADS.tolist())]
+        assert is_noncontextual(hardy_behavior(), ALL_QUADS).tolist() == expected
 
     def test_single_setting_is_trivially_noncontextual(self):
-        a = ContextAssignment({SettingPair("1", "1"): JointOutcome.GG})
-        assert is_noncontextual(a) is True
+        rows = np.arange(4, dtype=np.uint8).reshape(4, 1)
+        assert is_noncontextual(behavior_over([("1", "1")]), rows).tolist() == [True] * 4
+
+    def test_agrees_with_the_reference_on_all_hardy_quads(self):
+        behavior = hardy_behavior()
+        assert is_noncontextual(behavior, ALL_QUADS).tolist() == reference(behavior, ALL_QUADS)
+
+    @pytest.mark.parametrize("labels", OFF_GRID.values(), ids=OFF_GRID.keys())
+    def test_agrees_with_the_reference_off_the_grid(self, labels):
+        behavior = behavior_over(labels)
+        rows = np.array(list(product(range(4), repeat=len(labels))), dtype=np.uint8)
+        assert is_noncontextual(behavior, rows).tolist() == reference(behavior, rows)
+
+    def test_sampled_rows_off_the_grid(self):
+        """The rows sample_assignments serves off the grid are classified too."""
+        behavior = behavior_over(OFF_GRID["three-by-two"])
+        rows = sample_assignments(behavior, np.random.default_rng(7), 2000)
+        assert is_noncontextual(behavior, rows).tolist() == reference(behavior, rows)
+
+    def test_no_rows_give_no_answers(self):
+        result = is_noncontextual(hardy_behavior(), np.zeros((0, 4), dtype=np.uint8))
+        assert result.shape == (0,) and result.dtype == bool
+
+
+label_sets = st.sets(st.tuples(st.sampled_from("12a"), st.sampled_from("12b")),
+                     min_size=1, max_size=6)
+
+
+@st.composite
+def labelled_rows(draw):
+    """1-6 settings over small label alphabets, and up to 20 rows of indices."""
+    labels = draw(label_sets)
+    rows = draw(st.lists(st.lists(st.integers(0, 3), min_size=len(labels),
+                                  max_size=len(labels)), min_size=1, max_size=20))
+    return behavior_over(labels), np.array(rows, dtype=np.uint8)
+
+
+row_weights = st.lists(st.integers(0, 1000), min_size=4, max_size=4).filter(any)
+GRID_LABELS = [("1", "2"), ("x", "z"), ("a", "b")]  # as test_matches_assignment_enumeration
+
+
+class TestAgreesWithReference:
+    @settings(derandomize=True, deadline=None)
+    @given(labelled_rows())
+    def test_row_by_row(self, case):
+        behavior, rows = case
+        assert is_noncontextual(behavior, rows).tolist() == reference(behavior, rows)
+
+    @settings(derandomize=True, deadline=None, max_examples=50)
+    @given(st.sampled_from(GRID_LABELS), st.sampled_from(GRID_LABELS),
+           st.lists(row_weights, min_size=4, max_size=4))
+    def test_enumerated_mass_is_the_noncontextual_fraction(self, left, right, weights):
+        table = {(l, r): dict(zip(JOINT_OUTCOMES, np.divide(w, sum(w))))
+                 for (l, r), w in zip(product(left, right), weights)}
+        behavior = Behavior(table)
+        cells = np.array([list(behavior.table[s].values()) for s in behavior.settings])
+        mass = np.prod(cells[np.arange(4), ALL_QUADS], axis=1)
+        kept = mass[is_noncontextual(behavior, ALL_QUADS)].sum()
+        assert kept == pytest.approx(noncontextual_fraction(behavior), abs=1e-12)
 
 
 class TestAssignmentSerialization:
+    """Assignment rows that the behavior's settings cannot read are input errors."""
+
     def test_empty_assignment_rejected(self):
-        with pytest.raises(ValueError, match="at least one"):
-            ContextAssignment({})
+        for rows in (np.zeros((1, 0)), [0, 1, 2, 3], np.zeros((2, 3))):
+            shape = np.shape(rows)
+            with pytest.raises(ValueError, match=re.escape(f"shape {shape} need one column")):
+                is_noncontextual(hardy_behavior(), rows)
 
     def test_value_that_is_not_an_outcome_is_named(self):
-        with pytest.raises(ValueError, match=re.escape("unknown outcomes ['RR']")):
-            ContextAssignment({("1", "1"): "RR"})
+        for rows, named in (([[1, 2, 0, 4]], "[4]"),
+                            ([[1, 2, -1, 0.5]], "[-1.0, 0.5]"),
+                            ([["RR", "RG", "GR", "GG"]], "['GG', 'GR', 'RG', 'RR']")):
+            with pytest.raises(ValueError, match=re.escape(f"not outcome indices 0-3: {named}")):
+                is_noncontextual(hardy_behavior(), rows)
