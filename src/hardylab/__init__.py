@@ -20,7 +20,6 @@ from .qstate import (
     phi_minus,
     phi_plus,
     quantum_behavior,
-    rebasis,
     zx_change,
 )
 
@@ -42,7 +41,6 @@ __all__ = [
     "phi_minus",
     "phi_plus",
     "quantum_behavior",
-    "rebasis",
     "zx_change",
 ]
 

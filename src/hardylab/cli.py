@@ -105,6 +105,9 @@ def _unique_keys(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
     return data
 
 
+_CELLS_BY_NAME = {cell.value: cell for cell in JOINT_OUTCOMES}  # canonical order
+
+
 def parse_behavior_json(text: str) -> Behavior:
     """Parse the behavior file schema, naming the offending cell on errors."""
     try:
@@ -120,20 +123,20 @@ def parse_behavior_json(text: str) -> Behavior:
                 f"bad setting key {key!r}: expected two printable basis labels, e.g. \"12\"")
         if not isinstance(row, dict):
             raise ValueError(f"setting {key!r} must map outcome names to probabilities")
-        unknown = set(row) - {c.value for c in JOINT_OUTCOMES}
+        unknown = row.keys() - _CELLS_BY_NAME
         if unknown:
             raise ValueError(f"setting {key!r} has unknown cells {sorted(unknown)}")
         cells: dict[JointOutcome, float] = {}
-        for cell in JOINT_OUTCOMES:
-            if cell.value not in row:
-                raise ValueError(f"cell {key}:{cell.value} is missing")
-            value = row[cell.value]
+        for name, cell in _CELLS_BY_NAME.items():
+            if name not in row:
+                raise ValueError(f"cell {key}:{name} is missing")
+            value = row[name]
             if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise ValueError(f"cell {key}:{cell.value} has non-numeric value {value!r}")
+                raise ValueError(f"cell {key}:{name} has non-numeric value {value!r}")
             try:
                 cells[cell] = float(value)
             except OverflowError:
-                raise ValueError(f"cell {key}:{cell.value} is too large for a float") from None
+                raise ValueError(f"cell {key}:{name} is too large for a float") from None
         table[SettingPair(key[0], key[1])] = cells
     return Behavior(table)
 

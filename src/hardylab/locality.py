@@ -189,7 +189,9 @@ def _highs() -> _HighsLPs:
             raise ImportError(str(exc), name=_CORE) from exc
 
     def options(**extra: float):
-        # linprog(method="highs")'s settings; simplex strategy 1 is the dual simplex
+        # linprog(method="highs")'s settings; simplex strategy 1 is the dual simplex.
+        # Leave `threads` at 0: HiGHS keeps one thread scheduler per process, and a
+        # solve asking for a nonzero count other than the one it started with fails.
         opts = core.HighsOptions()
         for name, value in {"presolve": "on", "highs_debug_level": 0,
                             "log_to_console": False, "output_flag": False,

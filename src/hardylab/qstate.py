@@ -34,6 +34,8 @@ class Outcome(enum.Enum):
     R = "R"
     G = "G"
 
+    __hash__ = object.__hash__  # members are singletons: hash in C, not by name
+
     @property
     def index(self) -> int:
         return 0 if self is Outcome.R else 1
@@ -46,6 +48,8 @@ class JointOutcome(enum.Enum):
     RG = "RG"
     GR = "GR"
     GG = "GG"
+
+    __hash__ = object.__hash__  # as Outcome's
 
     left: Outcome
     right: Outcome
@@ -150,35 +154,12 @@ class BasisChange:
         if m.shape != (2, 2):
             raise ValueError(f"basis change matrix must be 2x2, got {m.shape}")
         gram = m.T @ m
-        if not np.allclose(gram, np.eye(2), rtol=0.0, atol=100 * EQ_TOL):
+        if not np.abs(gram - np.eye(2)).max() <= 100 * EQ_TOL:  # NaN fails too
             raise ValueError(
                 f"matrix for {self.from_basis!r}->{self.to_basis!r} is not orthogonal")
         m = m.copy()
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
-
-
-def rebasis(state: TwoQubitState, left: BasisChange | None = None,
-            right: BasisChange | None = None) -> TwoQubitState:
-    """Rewrite a state under per-side basis changes (None leaves a side alone)."""
-    if left is not None and left.from_basis != state.left_basis:
-        raise ValueError(
-            f"left side is in basis {state.left_basis!r} but the change maps "
-            f"{left.from_basis!r} to {left.to_basis!r}")
-    if right is not None and right.from_basis != state.right_basis:
-        raise ValueError(
-            f"right side is in basis {state.right_basis!r} but the change maps "
-            f"{right.from_basis!r} to {right.to_basis!r}")
-    a = state.amps.reshape(2, 2)
-    if left is not None:
-        a = left.matrix @ a
-    if right is not None:
-        a = a @ right.matrix.T
-    return TwoQubitState(
-        state.left_basis if left is None else left.to_basis,
-        state.right_basis if right is None else right.to_basis,
-        a.reshape(-1),
-    )
 
 
 def born_table(state: TwoQubitState) -> dict[JointOutcome, float]:
@@ -321,29 +302,25 @@ class Behavior:
 # behavior construction
 # ===========================================================================
 
-def resolve_change(from_basis: BasisLabel, to_basis: BasisLabel,
-                   changes: Iterable[BasisChange]) -> BasisChange | None:
-    """Find a change mapping from_basis to to_basis; None means identity.
-
-    A change is used only in the direction it was given, never inverted.
-    """
-    if from_basis == to_basis:
-        return None
-    for c in changes:
-        if c.from_basis == from_basis and c.to_basis == to_basis:
-            return c
-    raise ValueError(f"no basis change available from {from_basis!r} to {to_basis!r}")
-
-
 def rebase_state_to(state: TwoQubitState, setting: SettingPair,
                     changes: Iterable[BasisChange]) -> TwoQubitState:
-    """Rewrite a state into the basis pair named by a setting."""
+    """Rewrite a state into the basis pair named by a setting.
+
+    Each side whose label differs takes the first change in the pool from its
+    label to the setting's. A change is used only in the direction it was
+    given, never inverted.
+    """
     pool = list(changes)
-    return rebasis(
-        state,
-        left=resolve_change(state.left_basis, setting.left, pool),
-        right=resolve_change(state.right_basis, setting.right, pool),
-    )
+    a = state.amps.reshape(2, 2)
+    for left, have, want in ((True, state.left_basis, setting.left),
+                             (False, state.right_basis, setting.right)):
+        if have != want:
+            m = next((c.matrix for c in pool
+                      if c.from_basis == have and c.to_basis == want), None)
+            if m is None:
+                raise ValueError(f"no basis change available from {have!r} to {want!r}")
+            a = m @ a if left else a @ m.T
+    return TwoQubitState(setting.left, setting.right, a.reshape(-1))
 
 
 def quantum_behavior(state: TwoQubitState, change: BasisChange) -> Behavior:

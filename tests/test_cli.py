@@ -9,7 +9,7 @@ import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -462,7 +462,7 @@ class TestBehaviorSchema:
 
 
 # ===========================================================================
-# the failure contract for check-local files
+# the failure contract for check-local files and for argv
 # ===========================================================================
 
 # A behavior file as text parts: (setting key, [(cell name, value token)]),
@@ -549,6 +549,93 @@ def check_local_keeps_the_contract(text: str, fmt: str) -> None:
             assert json.loads(out)["format_version"] == 1
 
 
+# Each subcommand's flags, and for each flag the values argparse takes (some
+# fail when the subcommand runs) and the values it rejects. --trials stays at
+# most 10^5 so that every run is short.
+SUBCOMMAND_FLAGS = {
+    "tables": ("--format",),
+    "simulate": ("--trials", "--seed", "--model", "--workers", "--log", "--format"),
+    "interpret": ("--state", "--basis", "--against", "--format"),
+    "check-local": ("--behavior", "--format"),
+    "mixture-compare": ("--format",),
+}
+STATES = st.sampled_from(["hardy", "phi-plus", "phi-minus"])
+PARSED = {
+    "--format": st.sampled_from(["text", "json"]),
+    "--trials": st.integers(1, 10 ** 5).map(str),
+    "--seed": st.integers(0, 2 ** 64 - 1).map(str),
+    "--model": st.sampled_from(["quantum", "realist"]),
+    "--workers": st.integers(1, 4).map(str),
+    "--log": st.sampled_from(["trials.csv", "no-such-dir/trials.csv", ".", ""]),
+    "--state": STATES,
+    "--against": STATES,
+    "--basis": st.sampled_from(["zz", "zx", "xz", "xx", "11", "12", "21", "22"]),
+    "--behavior": st.sampled_from(["hardy.json", "not-json.json", "missing.json"]),
+}
+BAD_INTS = st.sampled_from(["0", "-1", "x", "1.5", ""])
+REJECTED = {
+    **dict.fromkeys(("--format", "--model", "--state", "--against", "--basis"),
+                    st.sampled_from(["csv", "bell", "33", ""])),
+    "--trials": BAD_INTS,
+    "--seed": st.sampled_from(["-1", "x", "1.5", str(2 ** 64)]),
+    "--workers": BAD_INTS | st.just("two"),
+}
+# Tokens dropped anywhere after the subcommand: unknown flags and options, a
+# known flag with no value after it, stray words and help.
+NOISE = st.sampled_from(["--bogus", "-x", "--seed", "--format", "--", "extra", "-h", "--help"])
+
+
+@st.composite
+def argv_lists(draw) -> list[str]:
+    """argv for one of the five subcommands, an unknown one or none. Each flag
+    comes with probability 2/3 and its value is rejected with probability 1/4;
+    then up to two noise tokens go anywhere after the subcommand, which can
+    leave a flag without its value."""
+    command = draw(st.sampled_from([*SUBCOMMAND_FLAGS, *SUBCOMMAND_FLAGS, "frobnicate", None]))
+    argv = [] if command is None else [command]
+    for flag in SUBCOMMAND_FLAGS.get(command, ()):
+        if draw(st.sampled_from([True, True, False])):
+            values = draw(st.sampled_from([PARSED, PARSED, PARSED, REJECTED]))
+            argv += [flag, draw(values.get(flag, PARSED[flag]))]  # any path parses
+    for _ in range(draw(st.sampled_from([0, 0, 0, 1, 2]))):
+        argv.insert(draw(st.integers(min(1, len(argv)), len(argv))), draw(NOISE))
+    return argv
+
+
+@pytest.fixture
+def argv_files(tmp_path, monkeypatch) -> None:
+    """The working directory holds the Hardy rows and a file that is not JSON,
+    so that --behavior and --log take relative names."""
+    (tmp_path / "hardy.json").write_text(json.dumps(oracle_table(hardy_behavior())),
+                                         encoding="utf-8")
+    (tmp_path / "not-json.json").write_text("{11: RR}", encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+
+
+def argv_keeps_the_contract(argv: list[str]) -> None:
+    """A usage error is SystemExit(1) ending in one "hardylab ...: error:"
+    line, -h is SystemExit(0); a run exits 0, 1 or 2, and exit 1 prints one
+    "error:" line and no stdout. No traceback ever reaches stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code, usage = main(argv), False
+        except SystemExit as exc:
+            code, usage = exc.code, True
+    out, err = out.getvalue(), err.getvalue()
+    assert "Traceback" not in err
+    if usage and code == 1:
+        error_lines = [line for line in err.splitlines() if ": error: " in line]
+        assert error_lines == [err.splitlines()[-1]]
+        assert re.match(r"hardylab( [a-z-]+)?: error: ", error_lines[0])
+    elif code == 1:
+        assert out == ""
+        assert err.startswith("error: ") and err.endswith("\n") and err.count("\n") == 1
+    else:
+        assert code in ((0,) if usage else (0, 2))
+        assert err == ""
+
+
 class TestFailureContract:
     @settings(derandomize=True, deadline=None, max_examples=150)
     @given(perturbed_files(), st.sampled_from(["text", "json"]))
@@ -559,3 +646,11 @@ class TestFailureContract:
     @given(arbitrary_json, st.sampled_from(["text", "json"]))
     def test_arbitrary_json_files(self, text, fmt):
         check_local_keeps_the_contract(text, fmt)
+
+    # argv_files sets up the working directory once; every example only reads
+    # it or rewrites trials.csv, so sharing it between examples is safe.
+    @settings(derandomize=True, deadline=None, max_examples=300,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(argv=argv_lists())
+    def test_generated_argv(self, argv_files, argv):
+        argv_keeps_the_contract(argv)

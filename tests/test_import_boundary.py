@@ -244,3 +244,39 @@ class TestBrokenHighsBindings(TestWithoutHighsBindings):
         assert errors[0][0] == "ImportError"
         assert "libhighs.so" in errors[0][1]
         assert registered is False
+
+
+# Solves one tiny LP on a bare HiGHS solver with threads=2, which starts the
+# process's thread scheduler, then the Hardy rows through hardylab. Prints one
+# JSON line: the tiny LP's status, then the verdict and margin.
+THREADS_PROBE = """
+import json
+import numpy as np
+from hardylab import locality
+from hardylab.qstate import hardy_behavior
+
+core = locality._highs().fit.core
+solver, options, lp = core._Highs(), core.HighsOptions(), core.HighsLp()
+options.output_flag = False
+options.threads = 2
+solver.passOptions(options)
+lp.num_col_, lp.num_row_ = 1, 0
+lp.col_cost_, lp.col_lower_, lp.col_upper_ = np.ones(1), np.zeros(1), np.ones(1)
+solver.passModel(lp)
+solver.run()
+result = locality.local_membership(hardy_behavior())
+print(json.dumps([solver.modelStatusToString(solver.getModelStatus()),
+                  result.verdict, result.witness.margin]))
+"""
+
+
+def test_membership_holds_after_another_solver_sets_threads():
+    """HiGHS keeps one thread scheduler per process. A solve that asks for a
+    nonzero thread count other than the scheduler's ends "Not Set", so the
+    package's options must leave `threads` at 0, which accepts any."""
+    proc = run_python(THREADS_PROBE)
+    assert proc.returncode == 0, proc.stderr
+    status, verdict, margin = json.loads(proc.stdout)
+    assert status == "Optimal"
+    assert verdict == "infeasible"
+    assert margin == pytest.approx(0.36, abs=1e-12)

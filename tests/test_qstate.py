@@ -29,8 +29,6 @@ from hardylab.qstate import (
     phi_plus,
     quantum_behavior,
     rebase_state_to,
-    rebasis,
-    resolve_change,
     zx_change,
 )
 
@@ -61,9 +59,9 @@ def hardy_setting_states() -> dict[str, object]:
     change = hardy_basis_change()
     return {
         "11": state,
-        "12": rebasis(state, right=change),
-        "21": rebasis(state, left=change),
-        "22": rebasis(state, left=change, right=change),
+        "12": rebase_state_to(state, SettingPair("1", "2"), [change]),
+        "21": rebase_state_to(state, SettingPair("2", "1"), [change]),
+        "22": rebase_state_to(state, SettingPair("2", "2"), [change]),
     }
 
 
@@ -113,7 +111,7 @@ class TestStateConstruction:
 
 
 # ===========================================================================
-# basis changes and rebasis
+# basis changes and rebase_state_to
 # ===========================================================================
 
 class TestBasisChange:
@@ -121,13 +119,10 @@ class TestBasisChange:
         with pytest.raises(ValueError, match="orthogonal"):
             BasisChange("1", "2", np.array([[1.0, 0.5], [0.0, 1.0]]))
 
-    def test_rebasis_rejects_wrong_left_basis(self):
-        with pytest.raises(ValueError, match="left side"):
-            rebasis(phi_plus(), left=hardy_basis_change())
-
-    def test_rebasis_rejects_wrong_right_basis(self):
-        with pytest.raises(ValueError, match="right side"):
-            rebasis(hardy_state(), right=zx_change())
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_matrix(self, bad):
+        with pytest.raises(ValueError, match="not orthogonal"):
+            BasisChange("1", "2", np.full((2, 2), bad))
 
 
 class TestRebasis:
@@ -146,9 +141,9 @@ class TestRebasis:
             theta, phi = rng.uniform(0, 2 * np.pi, size=2)
             left = BasisChange("a", "b", np.array(
                 [[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]]))
-            right = BasisChange("a", "b", np.array(
+            right = BasisChange("a", "c", np.array(
                 [[np.cos(phi), -np.sin(phi)], [np.sin(phi), np.cos(phi)]]))
-            out = rebasis(st, left=left, right=right)
+            out = rebase_state_to(st, SettingPair("b", "c"), [left, right])
             assert np.linalg.norm(out.amps) == pytest.approx(1.0, abs=1e-12)
 
     def test_round_trip_restores_amplitudes(self):
@@ -159,12 +154,12 @@ class TestRebasis:
             amps = rng.normal(size=4)
             amps /= np.linalg.norm(amps)
             st = make_state("1", "1", amps)
-            there = rebasis(st, left=change, right=change)
-            back = rebasis(there, left=way_back, right=way_back)
+            there = rebase_state_to(st, SettingPair("2", "2"), [change])
+            back = rebase_state_to(there, SettingPair("1", "1"), [way_back])
             assert np.allclose(back.amps, st.amps, atol=1e-12)
 
     def test_one_sided_rebase_keeps_other_label(self):
-        st = rebasis(hardy_state(), right=hardy_basis_change())
+        st = rebase_state_to(hardy_state(), SettingPair("1", "2"), [hardy_basis_change()])
         assert (st.left_basis, st.right_basis) == ("1", "2")
 
 
@@ -187,7 +182,7 @@ class TestBornTable:
 
     def test_cancelled_amplitude_becomes_exact_zero(self):
         """The rebased GG cell cancels in floats to ~1e-17 and must snap to 0."""
-        st = rebasis(hardy_state(), right=hardy_basis_change())
+        st = rebase_state_to(hardy_state(), SettingPair("1", "2"), [hardy_basis_change()])
         assert born_table(st)[JointOutcome.GG] == 0.0
 
     def test_matches_oracle_exactly(self):
@@ -484,8 +479,6 @@ class TestMixtures:
             mixture_behavior(same_outcome_mixture(), ["zz"], [zx_change()])
 
     def test_changes_are_used_only_in_the_given_direction(self):
-        with pytest.raises(ValueError, match="no basis change"):
-            resolve_change("x", "z", [zx_change()])
         in_x = rebase_state_to(phi_plus(), SettingPair("x", "x"), [zx_change()])
         with pytest.raises(ValueError, match="no basis change"):
             rebase_state_to(in_x, SettingPair("z", "z"), [zx_change()])

@@ -22,6 +22,7 @@ from hardylab.qstate import (
     hardy_basis_change,
     hardy_behavior,
     hardy_state,
+    rebase_state_to,
 )
 from hardylab.realist import (
     CANDIDATE_TOL,
@@ -68,8 +69,7 @@ class TestEnumeratePreexisting:
         assert list(cands.values()) == pytest.approx([0.375, 0.375, 0.25], abs=1e-12)
 
     def test_forbidden_cell_is_not_a_candidate(self):
-        from hardylab.qstate import rebasis
-        st = rebasis(hardy_state(), right=hardy_basis_change())
+        st = rebase_state_to(hardy_state(), SettingPair("1", "2"), [hardy_basis_change()])
         assert JointOutcome.GG not in enumerate_preexisting(st)
 
     def test_product_state_has_single_certain_candidate(self):
